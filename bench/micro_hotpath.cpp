@@ -388,11 +388,16 @@ net::CostModel quiet_cost() {
 }
 
 // End-to-end block ingestion: decode + dedup + dynamic vp-tree insertion.
-void BM_StorageInsertBatch(benchmark::State& state) {
+// resident_budget 0 keeps the arena on the heap; > 0 puts it in the block
+// store's file mapping with 64 KiB segments.
+void run_storage_insert(benchmark::State& state, std::size_t resident_budget) {
   const auto& fix = NodeFixture::instance();
+  auto config = fix.node_config();
+  config.arena_resident_budget = resident_budget;
+  config.arena_segment_bytes = std::size_t{64} << 10;
   for (auto _ : state) {
     net::SimTransport transport(quiet_cost());
-    core::StorageNode node(0, fix.node_config());
+    core::StorageNode node(0, config);
     transport.register_actor(0, &node);
     for (const auto& payload : fix.insert_payloads) {
       transport.send({.from = net::kClientNode,
@@ -407,29 +412,39 @@ void BM_StorageInsertBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(fix.blocks.size()));
 }
+
+void BM_StorageInsertBatch(benchmark::State& state) {
+  run_storage_insert(state, 0);
+}
 BENCHMARK(BM_StorageInsertBatch);
 
-// The acceptance kernel: a full on_node_search handler — payload decode,
-// per-subquery bounded n-NN with radius cap, identity + c-score filters,
-// reply encode — measured per subquery.
-void BM_NodeSearch(benchmark::State& state) {
-  const auto& fix = NodeFixture::instance();
-  static net::SimTransport transport(quiet_cost());
-  // Metrics attached (tracing off) so the bench measures the handler as it
-  // runs in production: histogram records are part of the hot path budget.
-  static obs::MetricsRegistry registry;
-  static core::StorageNode node(0, [&] {
-    auto config = fix.node_config();
-    config.metrics = &registry;
-    return config;
-  }());
-  static net::FunctionActor sink([](const net::Message&, net::Context&) {});
-  static bool loaded = false;
-  if (!loaded) {
-    loaded = true;
+// The same ingestion into the block store's mapping, nothing evicted.
+void BM_StorageInsertBatchSpilled(benchmark::State& state) {
+  run_storage_insert(state, std::size_t{64} << 20);
+}
+BENCHMARK(BM_StorageInsertBatchSpilled);
+
+// A node loaded through the indexer's wire messages. Metrics attached
+// (tracing off) so the bench measures the handler as it runs in
+// production: histogram records are part of the hot path budget.
+struct SearchNode {
+  net::SimTransport transport{quiet_cost()};
+  obs::MetricsRegistry registry;
+  core::StorageNode node;
+  net::FunctionActor sink{[](const net::Message&, net::Context&) {}};
+
+  // resident_budget as in run_storage_insert.
+  explicit SearchNode(std::size_t resident_budget)
+      : node(0, [&] {
+          auto config = NodeFixture::instance().node_config();
+          config.metrics = &registry;
+          config.arena_resident_budget = resident_budget;
+          config.arena_segment_bytes = std::size_t{64} << 10;
+          return config;
+        }()) {
     transport.register_actor(0, &node);
     transport.register_actor(net::kClientNode, &sink);
-    for (const auto& payload : fix.insert_payloads) {
+    for (const auto& payload : NodeFixture::instance().insert_payloads) {
       transport.send({.from = net::kClientNode,
                       .to = 0,
                       .type = core::kInsertBlocks,
@@ -438,7 +453,13 @@ void BM_NodeSearch(benchmark::State& state) {
     }
     transport.run_until_idle();
   }
+};
 
+// The acceptance kernel: a full on_node_search handler — payload decode,
+// per-subquery bounded n-NN with radius cap, identity + c-score filters,
+// reply encode — measured per subquery.
+void run_node_search(benchmark::State& state, SearchNode& bench) {
+  const auto& fix = NodeFixture::instance();
   constexpr std::size_t kSubqueries = 64;
   const auto probes = make_probes(fix.store, kSubqueries, 109);
   core::NodeSearchPayload search;
@@ -451,17 +472,31 @@ void BM_NodeSearch(benchmark::State& state) {
 
   std::uint64_t request = 1;
   for (auto _ : state) {
-    transport.send({.from = net::kClientNode,
-                    .to = 0,
-                    .type = core::kNodeSearch,
-                    .request_id = request++,
-                    .payload = payload});
-    transport.run_until_idle();
+    bench.transport.send({.from = net::kClientNode,
+                          .to = 0,
+                          .type = core::kNodeSearch,
+                          .request_id = request++,
+                          .payload = payload});
+    bench.transport.run_until_idle();
   }
-  state.SetLabel("blocks " + std::to_string(node.block_count()));
+  state.SetLabel("blocks " + std::to_string(bench.node.block_count()));
   state.SetItemsProcessed(state.iterations() * kSubqueries);
 }
+
+void BM_NodeSearch(benchmark::State& state) {
+  static SearchNode bench(0);
+  run_node_search(state, bench);
+}
 BENCHMARK(BM_NodeSearch);
+
+// The same searches over rows in the block store's mapping, under a budget
+// above the arena: nothing is evicted, so the gap to BM_NodeSearch is what
+// pinning and reading spilled rows costs.
+void BM_NodeSearchSpilled(benchmark::State& state) {
+  static SearchNode bench(std::size_t{64} << 20);
+  run_node_search(state, bench);
+}
+BENCHMARK(BM_NodeSearchSpilled);
 
 }  // namespace
 

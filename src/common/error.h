@@ -61,5 +61,10 @@ class ProtocolError : public Error {
 inline void require(bool cond, const std::string& what) {
   if (!cond) throw InvalidArgument(what);
 }
+// Literal-message overload: builds the message only on failure, so checks
+// on hot paths (row reads, segment pins) cost a branch, not an allocation.
+inline void require(bool cond, const char* what) {
+  if (!cond) throw InvalidArgument(what);
+}
 
 }  // namespace mendel

@@ -50,20 +50,24 @@ void Sha1::update(std::string_view data) {
 }
 
 Sha1Digest Sha1::finish() {
-  // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-  const std::uint64_t bits = total_bits_;
-  const std::uint8_t pad = 0x80;
-  update(std::span<const std::uint8_t>(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  // Padding, written straight into the block buffer: 0x80, zeros up to
+  // byte 56 of the final block (spilling into one more block when fewer
+  // than 8 bytes remain), then the 64-bit big-endian message bit length.
+  // update() flushes full blocks, so at least one buffer byte is free.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffered_),
+              buffer_.end(), std::uint8_t{0});
+    process_block(buffer_.data());
+    buffered_ = 0;
   }
-  std::array<std::uint8_t, 8> length_be;
-  for (int i = 0; i < 8; ++i) {
-    length_be[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffered_),
+            buffer_.begin() + 56, std::uint8_t{0});
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(total_bits_ >> (56 - 8 * i));
   }
-  update(std::span<const std::uint8_t>(length_be.data(), 8));
+  process_block(buffer_.data());
+  buffered_ = 0;
 
   Sha1Digest digest;
   for (std::size_t i = 0; i < 5; ++i) {

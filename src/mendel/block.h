@@ -12,6 +12,7 @@
 // src/mendel/storage_node.h.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -55,12 +56,14 @@ struct Block {
 inline std::uint64_t block_placement_key(seq::SequenceId sequence,
                                          std::uint32_t start,
                                          seq::CodeSpan window) {
+  // The header is the codec's little-endian u32 pair, built on the stack.
+  std::array<std::uint8_t, 8> header;
+  for (std::size_t i = 0; i < 4; ++i) {
+    header[i] = static_cast<std::uint8_t>(sequence >> (8 * i));
+    header[4 + i] = static_cast<std::uint8_t>(start >> (8 * i));
+  }
   hashing::Sha1 hasher;
-  CodecWriter header;
-  header.u32(sequence);
-  header.u32(start);
-  hasher.update(std::span<const std::uint8_t>(header.data().data(),
-                                              header.data().size()));
+  hasher.update(header);
   hasher.update(std::span<const std::uint8_t>(window.data(), window.size()));
   const auto digest = hasher.finish();
   std::uint64_t value = 0;

@@ -120,11 +120,26 @@ std::vector<StorageNode::BlockRef> StorageNode::admit_blocks(
   for (const Block& block : blocks) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(block.sequence) << 32) | block.start;
-    if (!block_keys_.insert(key).second) continue;
+    if (!block_keys_.insert(key)) continue;
     const std::uint32_t slot = arena_.append(block.window);
     fresh.push_back({block.sequence, block.start, slot});
   }
   return fresh;
+}
+
+void StorageNode::insert_refs(std::vector<BlockRef> refs) {
+  // The tree's metric reads the arena through one pin set for the whole
+  // batch, its leaf overflow and every subtree rebuild it triggers.
+  auto pins = arena_.pin_set();
+  BlockRefMetric& metric = tree_.metric();
+  metric.pins = &pins;
+  try {
+    tree_.insert_batch(std::move(refs));
+  } catch (...) {
+    metric.pins = nullptr;
+    throw;
+  }
+  metric.pins = nullptr;
 }
 
 Block StorageNode::materialize(const BlockRef& ref) const {
@@ -320,7 +335,7 @@ void StorageNode::on_insert_blocks(const net::Message& message) {
 #ifdef MENDEL_CHECKED
     const auto admitted = fresh;
 #endif
-    tree_.insert_batch(std::move(fresh));
+    insert_refs(std::move(fresh));
 #ifdef MENDEL_CHECKED
     checked_audit_fresh(admitted);
 #endif
@@ -555,7 +570,10 @@ std::vector<Seed> StorageNode::search_subquery(
   // The probe rides in a per-call metric so concurrent subquery searches
   // never share mutable state; the tree itself is only read.
   const seq::CodeSpan probe_span(window);
-  const BlockRefMetric metric{config_.distance, &arena_, &probe_span,
+  // One pin set for the whole search: each spilled segment it reads is
+  // pinned once and read in place until the search returns.
+  auto pins = arena_.pin_set();
+  const BlockRefMetric metric{config_.distance, &arena_, &probe_span, &pins,
                               c_batched_scans_, c_scalar_fallbacks_};
   const BlockRef probe_ref{0, 0, BlockRef::kProbeSlot};
   // Exact radius cap from the identity filter: a candidate passing
@@ -569,7 +587,7 @@ std::vector<Seed> StorageNode::search_subquery(
   std::vector<seq::Code> decoded(arena_.window_length());
   for (const auto& neighbor : neighbors) {
     const BlockRef& block = *neighbor.item;
-    arena_.copy_row(block.slot, decoded.data());
+    arena_.copy_row(pins, block.slot, decoded.data());
     const seq::CodeSpan arena_window{decoded.data(), decoded.size()};
     const double identity = score::percent_identity(window, arena_window);
     if (identity < params.identity) continue;
@@ -1475,22 +1493,24 @@ void StorageNode::on_rebalance(net::Context& ctx) {
   const auto refs = tree_.collect_all();
   std::vector<Block> kept;
   std::map<net::NodeId, InsertBlocksPayload> outgoing;
-  std::vector<seq::Code> decoded(arena_.window_length());
-  for (const BlockRef& ref : refs) {
-    arena_.copy_row(ref.slot, decoded.data());
-    const auto owners = config_.topology->nodes_for_key(
-        group, block_placement_key(ref.sequence, ref.start,
-                                   {decoded.data(), decoded.size()}));
-    if (std::find(owners.begin(), owners.end(), id_) != owners.end()) {
-      kept.push_back(materialize(ref));
-      continue;
-    }
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(ref.sequence) << 32) | ref.start;
-    block_keys_.erase(key);
-    Block moved = materialize(ref);
-    for (net::NodeId owner : owners) {
-      outgoing[owner].blocks.push_back(moved);
+  {
+    // Pins drop before arena_.clear(), which needs an unpinned store.
+    auto pins = arena_.pin_set();
+    for (const BlockRef& ref : refs) {
+      Block block;
+      block.sequence = ref.sequence;
+      block.start = ref.start;
+      block.window.resize(arena_.window_length());
+      arena_.copy_row(pins, ref.slot, block.window.data());
+      const auto owners = config_.topology->nodes_for_key(
+          group, block_placement_key(block));
+      if (std::find(owners.begin(), owners.end(), id_) != owners.end()) {
+        kept.push_back(std::move(block));
+        continue;
+      }
+      for (net::NodeId owner : owners) {
+        outgoing[owner].blocks.push_back(block);
+      }
     }
   }
   if (!outgoing.empty()) {
@@ -1501,7 +1521,7 @@ void StorageNode::on_rebalance(net::Context& ctx) {
         vpt::DynamicVpTreeOptions{config_.bucket_capacity, true, 2.0,
                                   0x6e6f6465ULL + id_});
     auto fresh = admit_blocks(std::move(kept));
-    if (!fresh.empty()) tree_.insert_batch(std::move(fresh));
+    if (!fresh.empty()) insert_refs(std::move(fresh));
   }
   for (auto& [owner, payload] : outgoing) {
     ctx.send(owner, kInsertBlocks, 0, encode_payload(payload));
@@ -1622,7 +1642,7 @@ void StorageNode::load(CodecReader& reader) {
     const auto row = reader.raw(row_bytes);
     const std::uint64_t key =
         (static_cast<std::uint64_t>(sequence) << 32) | start;
-    if (!block_keys_.insert(key).second) continue;  // idempotent re-delivery
+    if (!block_keys_.insert(key)) continue;  // idempotent re-delivery
     const std::uint32_t slot =
         arena_.append_row(row.data(), row_bytes, window_len, bits);
     fresh.push_back({sequence, start, slot});
@@ -1632,7 +1652,7 @@ void StorageNode::load(CodecReader& reader) {
   counters_.blocks_restored += fresh.size();
   if (!fresh.empty()) {
     invalidate_nn_cache();
-    tree_.insert_batch(std::move(fresh));
+    insert_refs(std::move(fresh));
   }
   const std::uint32_t count = reader.u32();
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -1694,6 +1714,22 @@ void StorageNode::audit_placement(const BlockRef& ref,
   }
 }
 
+void StorageNode::audit_store(std::vector<std::string>& out) const {
+  const std::string me = "node " + std::to_string(id_);
+  // Spilled arenas: the block store's residency invariants (pinned blocks
+  // resident, accounting consistent, resident set within budget + pins).
+  std::string store_why;
+  if (!arena_.store_audit(&store_why)) {
+    out.push_back(me + ": block store residency audit failed: " + store_why);
+  }
+  // Pins are operation-scoped: none may outlive the search or tree call
+  // that took it.
+  if (const std::size_t pinned = arena_.stats().pinned_segments; pinned > 0) {
+    out.push_back(me + ": " + std::to_string(pinned) +
+                  " block store segment(s) still pinned between operations");
+  }
+}
+
 std::vector<std::string> StorageNode::audit(std::size_t max_violations) const {
   std::vector<std::string> out;
   const std::string me = "node " + std::to_string(id_);
@@ -1723,12 +1759,7 @@ std::vector<std::string> StorageNode::audit(std::size_t max_violations) const {
     }
   }
 
-  // Spilled arenas: the block store's residency invariants (pinned blocks
-  // resident, accounting consistent, resident set within budget + pins).
-  std::string store_why;
-  if (!arena_.store_audit(&store_why)) {
-    out.push_back(me + ": block store residency audit failed: " + store_why);
-  }
+  audit_store(out);
 
   // Bookkeeping: tree contents, dedup keys and arena slots must agree.
   const auto refs = tree_.collect_all();
@@ -1813,6 +1844,7 @@ void StorageNode::checked_audit_fresh(
     out.push_back("node " + std::to_string(id_) + " vp-tree: " +
                   std::move(violation));
   }
+  audit_store(out);
   if (config_.checked_placement_audit) {
     for (const BlockRef& ref : fresh) {
       if (out.size() >= 32) break;

@@ -22,8 +22,9 @@
 // mutable state is only touched from handle(), which both transports call
 // from a single thread per node. The one intra-handler concurrency is the
 // subquery fan-out in on_node_search: pool tasks only *read* the vp-tree
-// and arena (each with a private probe metric) and write disjoint slots of
-// a local result vector; counters and the NN cache stay handler-thread-only.
+// and arena (each with a private probe metric and block-store pin set) and
+// write disjoint slots of a local result vector; counters and the NN cache
+// stay handler-thread-only.
 #pragma once
 
 #include <array>
@@ -36,12 +37,12 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include <mutex>
 
 #include "src/cluster/topology.h"
+#include "src/common/flat_key_set.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/thread_pool.h"
 #include "src/mendel/fetch_plan.h"
@@ -245,28 +246,45 @@ class StorageNode final : public net::Actor {
     const score::DistanceMatrix* distance;
     const vpt::WindowArena* arena;
     const seq::CodeSpan* probe;
+    // The running operation's pin set (one search, one insert batch):
+    // spilled rows are pinned into it and read in place, without the store
+    // lock. Null outside an operation (audits, the tree's idle metric):
+    // spilled rows are then copied under the store lock.
+    vpt::PinSet* pins = nullptr;
     // Kernel observability (kernel.batched_scans / kernel.scalar_fallbacks);
     // null on metrics-less nodes and on the tree's internal rebuild metric.
     obs::Counter* batched_scans = nullptr;
     obs::Counter* scalar_fallbacks = nullptr;
 
-    // Item-wise code access. The all-resident unpacked arena hands out
-    // direct row pointers (the original zero-copy path); packed or spilled
-    // arenas decode into per-thread scratch — `side` keeps the two
-    // operands of a distance call in separate buffers. Copying (rather
-    // than pointing) is what makes item-wise access safe against
-    // concurrent LRU eviction: the bytes are captured under the store
-    // lock.
+    // Pins both operands' rows as one access group of the pin set.
+    void pin_operands(const BlockRef& a, const BlockRef& b) const {
+      if (pins == nullptr || !arena->spilled()) return;
+      std::array<std::uint32_t, 2> slots;
+      std::size_t n = 0;
+      if (a.slot != BlockRef::kProbeSlot) slots[n++] = a.slot;
+      if (b.slot != BlockRef::kProbeSlot) slots[n++] = b.slot;
+      arena->pin_rows(*pins, slots.data(), n);
+    }
+    // Item-wise code access to one operand, after pin_operands(). Unpacked
+    // rows are handed out in place when readable (heap, or pinned); packed
+    // rows decode into per-thread scratch — `side` keeps the two operands
+    // of a distance call in separate buffers.
     const seq::Code* codes(const BlockRef& ref, int side) const {
       if (ref.slot == BlockRef::kProbeSlot) return probe->data();
-      if (!arena->packed() && !arena->spilled()) return arena->at(ref.slot);
+      const bool in_place = pins != nullptr || !arena->spilled();
+      if (in_place && !arena->packed()) return arena->row_data(ref.slot);
       thread_local std::vector<seq::Code> scratch[2];
       auto& buf = scratch[side];
       buf.resize(arena->window_length());
-      arena->copy_row(ref.slot, buf.data());
+      if (in_place) {
+        arena->decode_pinned(ref.slot, buf.data());
+      } else {
+        arena->copy_row(ref.slot, buf.data());
+      }
       return buf.data();
     }
     double operator()(const BlockRef& a, const BlockRef& b) const {
+      pin_operands(a, b);
       return score::window_distance_unchecked(*distance, codes(a, 0),
                                               codes(b, 1),
                                               arena->window_length());
@@ -282,12 +300,15 @@ class StorageNode final : public net::Actor {
     }
     double bounded(const BlockRef& a, const BlockRef& b,
                    double bound) const {
+      pin_operands(a, b);
       return score::window_distance_bounded_unchecked(
           *distance, codes(a, 0), codes(b, 1), arena->window_length(), bound);
     }
-    // Batched bucket scan: same item-wise contract as bounded(). Falls back
-    // to the item-at-a-time path when the matrix has no quantized twin or
-    // the arena is too large for 32-bit gather offsets.
+    // Batched bucket scan against the search probe: same item-wise
+    // contract as bounded(). Falls back to the item-at-a-time path when
+    // the matrix has no quantized twin, the arena is too large for 32-bit
+    // gather offsets, spilled rows have no pin set, or the target is not
+    // the probe (the tree never passes one).
     void bounded_batch(const BlockRef& a, const BlockRef* items,
                        std::size_t count, double bound, double* out) const {
       const score::QuantizedDistance* q = distance->quantized();
@@ -296,7 +317,9 @@ class StorageNode final : public net::Actor {
           arena->size() * arena->stride() <
           static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()) -
               vpt::WindowArena::kGuardTail;
-      if (q == nullptr || !gatherable) {
+      const bool readable = pins != nullptr || !arena->spilled();
+      if (q == nullptr || !gatherable || !readable ||
+          a.slot != BlockRef::kProbeSlot) {
         if (q == nullptr && scalar_fallbacks != nullptr) {
           scalar_fallbacks->add();
         }
@@ -305,13 +328,13 @@ class StorageNode final : public net::Actor {
         }
         return;
       }
-      const seq::Code* probe_codes = codes(a, 0);
+      const seq::Code* probe_codes = probe->data();
       const std::int64_t qthresh = q->threshold(bound);
       const auto& kernels = score::qkernels();
       std::array<std::uint32_t, kBatchChunk> slots;
       std::array<std::int64_t, kBatchChunk> qdists;
       for (std::size_t offset = 0; offset < count;) {
-        const std::size_t run = std::min(count - offset, kBatchChunk);
+        std::size_t run = std::min(count - offset, kBatchChunk);
         bool arena_only = true;
         for (std::size_t j = 0; j < run && arena_only; ++j) {
           arena_only = items[offset + j].slot != BlockRef::kProbeSlot;
@@ -328,10 +351,11 @@ class StorageNode final : public net::Actor {
         for (std::size_t j = 0; j < run; ++j) {
           slots[j] = items[offset + j].slot;
         }
-        // Spilled arenas: pin the chunk's rows so the gather kernels can
-        // never touch an evicted (PROT_NONE) segment mid-scan; no-op for
-        // heap arenas. Packed arenas route to the fused-decode kernel.
-        const auto pin = arena->pin_scan(slots.data(), run);
+        // Spilled arenas: pin the chunk's rows into the operation's pin set
+        // so the gather kernels never touch an evicted (PROT_NONE) segment;
+        // a chunk spanning more segments than the budget is scanned in
+        // pieces. Packed arenas route to the fused-decode kernel.
+        if (pins != nullptr) run = arena->pin_rows(*pins, slots.data(), run);
         if (arena->packed()) {
           kernels.distance_batch_packed(*q, probe_codes, arena->base(),
                                         arena->stride(), arena->packed_bits(),
@@ -488,10 +512,16 @@ class StorageNode final : public net::Actor {
   // Admits blocks this node does not yet store: dedups against
   // block_keys_, appends windows to the arena, returns the new refs.
   std::vector<BlockRef> admit_blocks(std::vector<Block> blocks);
+  // insert_batch() of freshly admitted refs, reading the arena through one
+  // operation-scoped pin set.
+  void insert_refs(std::vector<BlockRef> refs);
 
   // Checks the two-tier placement of one stored block (see audit()).
   void audit_placement(const BlockRef& ref,
                        std::vector<std::string>& out) const;
+  // Checks the arena's block store: residency invariants, and no pin left
+  // behind by a finished operation (see audit()).
+  void audit_store(std::vector<std::string>& out) const;
 #ifdef MENDEL_CHECKED
   // MENDEL_CHECKED hooks: throw CheckError on the first violation.
   void checked_audit(const char* where) const;
@@ -530,7 +560,7 @@ class StorageNode final : public net::Actor {
   vpt::DynamicVpTree<BlockRef, BlockRefMetric> tree_;
   // Identities of stored blocks ((sequence << 32) | start) so re-deliveries
   // during replication and rebalance stay idempotent.
-  std::unordered_set<std::uint64_t> block_keys_;
+  FlatKeySet block_keys_;
   std::unordered_map<std::uint32_t, StoredSequence> sequences_;
   std::set<net::NodeId> down_;
   NodeCounters counters_;

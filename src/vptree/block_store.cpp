@@ -31,6 +31,12 @@ constexpr std::size_t round_up(std::size_t v, std::size_t align) {
   return (v + align - 1) / align * align;
 }
 
+std::size_t round_up_pow2(std::size_t v) {
+  std::size_t p = 1;
+  while (p < v) p <<= 1;
+  return p;
+}
+
 // An unlinked temporary file: the bytes vanish with the last descriptor,
 // so crashed processes leave nothing behind.
 int open_backing_file() {
@@ -51,7 +57,7 @@ bool BlockStore::supported() { return true; }
 
 BlockStore::BlockStore(std::size_t budget_bytes, std::size_t segment_bytes) {
   require(segment_bytes > 0, "BlockStore: zero segment size");
-  segment_bytes_ = round_up(segment_bytes, page_size());
+  segment_bytes_ = round_up_pow2(std::max(segment_bytes, page_size()));
   budget_segments_ =
       std::max<std::size_t>(kMinResidentSegments,
                             (budget_bytes + segment_bytes_ - 1) / segment_bytes_);
@@ -194,6 +200,41 @@ void BlockStore::pin_segment(std::size_t seg) {
 
 void BlockStore::unpin_segment(std::size_t seg) {
   std::lock_guard<std::mutex> lock(mu_);
+  unpin_locked(seg);
+}
+
+void BlockStore::pin_segments(const std::uint32_t* segs, std::size_t count) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::size_t done = 0;
+  try {
+    for (; done < count; ++done) {
+      ensure_resident_locked(segs[done]);
+      ++segments_[segs[done]].pin_count;
+    }
+  } catch (...) {
+    while (done > 0) unpin_locked(segs[--done]);
+    throw;
+  }
+}
+
+void BlockStore::unpin_segments(const std::uint32_t* segs, std::size_t count) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::size_t i = 0; i < count; ++i) unpin_locked(segs[i]);
+}
+
+std::uint32_t BlockStore::pin_count(std::size_t seg) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return seg < segments_.size() ? segments_[seg].pin_count : 0;
+}
+
+std::size_t BlockStore::pinned_segments() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<std::size_t>(
+      std::count_if(segments_.begin(), segments_.end(),
+                    [](const Segment& s) { return s.pin_count > 0; }));
+}
+
+void BlockStore::unpin_locked(std::size_t seg) {
   require(seg < segments_.size() && segments_[seg].pin_count > 0,
           "BlockStore: unbalanced unpin");
   --segments_[seg].pin_count;
@@ -291,7 +332,58 @@ bool BlockStore::audit(std::string* why) const {
   return true;
 }
 
-#else  // !MENDEL_BLOCK_STORE_MMAP
+#endif  // MENDEL_BLOCK_STORE_MMAP
+
+PinSet::PinSet(BlockStore* store) : store_(store) {
+  if (store_ == nullptr) return;
+  while ((std::size_t{1} << shift_) < store_->segment_bytes()) ++shift_;
+  cap_ = store_->budget_segments();
+}
+
+void PinSet::pin_pending() {
+  if (held_.size() + pending_.size() > cap_) {
+    // Full: keep only the current group's pins. The group itself never
+    // exceeds the cap (add() refuses), so this always makes room.
+    std::vector<std::uint32_t> stale;
+    std::size_t kept = 0;
+    for (const std::uint32_t seg : held_) {
+      if (stamp_[seg] == group_) {
+        held_[kept++] = seg;
+      } else {
+        stamp_[seg] = 0;
+        stale.push_back(seg);
+        held_prefix_ = std::min<std::size_t>(held_prefix_, seg);
+      }
+    }
+    held_.resize(kept);
+    store_->unpin_segments(stale.data(), stale.size());
+  }
+  try {
+    store_->pin_segments(pending_.data(), pending_.size());
+  } catch (...) {
+    for (const std::uint32_t seg : pending_) stamp_[seg] = 0;
+    pending_.clear();
+    throw;
+  }
+  held_.insert(held_.end(), pending_.begin(), pending_.end());
+  pending_.clear();
+  while (held_prefix_ < stamp_.size() && stamp_[held_prefix_] != 0) {
+    ++held_prefix_;
+  }
+}
+
+void PinSet::release() {
+  if (store_ == nullptr) return;
+  for (const std::uint32_t seg : pending_) stamp_[seg] = 0;
+  pending_.clear();
+  if (held_.empty()) return;
+  for (const std::uint32_t seg : held_) stamp_[seg] = 0;
+  held_prefix_ = 0;
+  store_->unpin_segments(held_.data(), held_.size());
+  held_.clear();
+}
+
+#ifndef MENDEL_BLOCK_STORE_MMAP
 
 // Platforms without POSIX mmap never construct a BlockStore — WindowArena
 // checks supported() and stays on all-resident heap storage instead.
@@ -310,6 +402,10 @@ void BlockStore::ensure_capacity(std::size_t) {}
 void BlockStore::reset() {}
 void BlockStore::pin_segment(std::size_t) {}
 void BlockStore::unpin_segment(std::size_t) {}
+void BlockStore::pin_segments(const std::uint32_t*, std::size_t) {}
+void BlockStore::unpin_segments(const std::uint32_t*, std::size_t) {}
+std::uint32_t BlockStore::pin_count(std::size_t) const { return 0; }
+std::size_t BlockStore::pinned_segments() const { return 0; }
 void BlockStore::read(std::size_t, void*, std::size_t) {}
 void BlockStore::write(std::size_t, const void*, std::size_t) {}
 BlockStoreStats BlockStore::stats() const { return {}; }

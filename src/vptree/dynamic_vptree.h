@@ -76,6 +76,9 @@ class DynamicVpTree {
   bool empty() const { return size_ == 0; }
   std::size_t depth() const { return node_depth(root_.get()); }
   const DynamicVpTreeCounters& counters() const { return counters_; }
+  // The build/maintenance metric, for metrics that carry per-operation
+  // state (a block-store pin set) through insert_batch and its rebuilds.
+  Metric& metric() { return metric_; }
 
   // Case-directed single insertion.
   void insert(T item) {

@@ -23,11 +23,11 @@
 //   Storage. Rows live either in one heap buffer (default: zero overhead
 //   versus the original arena) or in a memory-mapped BlockStore with an
 //   LRU-pinned resident set bounded by a byte budget. In spill mode raw
-//   pointers are only safe for *pinned* ranges: batched scans take a
-//   ScanPin over their slot run, and every other access copies through
-//   copy_row()/copy_row_bytes(), which fault transparently under the
-//   store lock. at()/span() remain valid only for the all-resident
-//   unpacked configuration (the original contract).
+//   pointers are only safe for *pinned* ranges: a search or tree
+//   operation pins the rows it reads into one operation-scoped PinSet
+//   (pin_rows) and reads them in place (row_data); callers without a pin
+//   set copy through copy_row()/copy_row_bytes(), which fault
+//   transparently under the store lock.
 //
 // Layout contract for the batched SIMD leaf scans (src/scoring/quantized):
 //   * the buffer base is 32-byte aligned (heap: aligned new; spill: page
@@ -76,6 +76,9 @@ class WindowArena {
   // Windows longer than this fall back to unpacked storage (decode scratch
   // buffers are bounded by it; cluster block lengths are tiny in practice).
   static constexpr std::size_t kMaxPackedWindow = 4096;
+  // Bytes the vector kernels may read past a row's stride: they gather
+  // 4-byte words, and the last word may start at the final row byte.
+  static constexpr std::size_t kGatherOverread = 3;
 
   struct Config {
     // 0 = one byte per code; 2 or 4 = bit-packed rows (auto-widening).
@@ -88,9 +91,10 @@ class WindowArena {
   };
 
   struct Stats {
-    std::size_t resident_bytes = 0;  // bytes of row storage currently in RAM
-    std::size_t packed_bytes = 0;    // bytes of bit-packed rows (0 unpacked)
-    BlockStoreStats store;           // zeros in heap mode
+    std::size_t resident_bytes = 0;   // bytes of row storage currently in RAM
+    std::size_t packed_bytes = 0;     // bytes of bit-packed rows (0 unpacked)
+    std::size_t pinned_segments = 0;  // store segments pinned right now
+    BlockStoreStats store;            // zeros in heap mode
   };
 
   WindowArena() = default;
@@ -185,18 +189,6 @@ class WindowArena {
     return append({decoded.data(), decoded.size()});
   }
 
-  // Direct views are only safe for the original all-resident unpacked
-  // configuration; packed or spilled arenas must copy (copy_row) or pin
-  // (ScanPin + base()).
-  const seq::Code* at(std::uint32_t slot) const {
-    require(packed_bits_ == 0 && store_ == nullptr,
-            "WindowArena: direct row view on a packed or spilled arena");
-    return buffer_.get() + static_cast<std::size_t>(slot) * stride_;
-  }
-  seq::CodeSpan span(std::uint32_t slot) const {
-    return {at(slot), window_length_};
-  }
-
   // Decodes row `slot` into out[0 .. window_length()). Valid in every
   // mode and safe under concurrent searches (spill reads copy under the
   // store lock).
@@ -220,52 +212,56 @@ class WindowArena {
     return buffer_.get();
   }
 
-  // Pins every segment covering the given slot rows (plus the 3-byte
-  // gather overread) for the lifetime of the guard; no-op in heap mode.
-  class ScanPin {
-   public:
-    ScanPin() = default;
-    ScanPin(BlockStore* store, std::vector<std::uint32_t> segs)
-        : store_(store), segs_(std::move(segs)) {
-      if (store_ != nullptr) {
-        for (const auto seg : segs_) store_->pin_segment(seg);
-      }
-    }
-    ~ScanPin() {
-      if (store_ != nullptr) {
-        for (const auto seg : segs_) store_->unpin_segment(seg);
-      }
-    }
-    ScanPin(ScanPin&& other) noexcept
-        : store_(other.store_), segs_(std::move(other.segs_)) {
-      other.store_ = nullptr;
-    }
-    ScanPin& operator=(ScanPin&&) = delete;
-    ScanPin(const ScanPin&) = delete;
-    ScanPin& operator=(const ScanPin&) = delete;
+  // An operation-scoped pin set over this arena's block store (a no-op set
+  // in heap mode): one search or one tree-maintenance call pins through it
+  // and reads rows with row_data() / copy_row(pins, ...).
+  PinSet pin_set() const { return PinSet(store_.get()); }
 
-   private:
-    BlockStore* store_ = nullptr;
-    std::vector<std::uint32_t> segs_;
-  };
-
-  ScanPin pin_scan(const std::uint32_t* slots, std::size_t count) const {
-    if (store_ == nullptr || count == 0) return {};
-    std::vector<std::uint32_t> segs;
-    segs.reserve(count * 2);
-    const std::size_t seg_bytes = store_->segment_bytes();
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t first = static_cast<std::size_t>(slots[i]) * stride_;
-      // +3: the vector kernels gather 4-byte words whose last word may
-      // start at the final row byte.
-      const std::size_t last = first + stride_ + 3;
-      for (std::size_t s = first / seg_bytes; s <= last / seg_bytes; ++s) {
-        segs.push_back(static_cast<std::uint32_t>(s));
-      }
+  // Pins rows slots[0 .. count) — each with the gather kernels' overread —
+  // as one access group of `pins`. Returns how many leading rows
+  // row_data() may now read: all of them in heap mode; in spill mode as
+  // many as fit the store budget, at least one when count > 0.
+  std::size_t pin_rows(PinSet& pins, const std::uint32_t* slots,
+                       std::size_t count) const {
+    if (store_ == nullptr) return count;
+    const std::size_t extent = stride_ + kGatherOverread;
+    // Fast path: every row already lies in the set's held prefix (the
+    // steady state once a search has touched an arena within its budget):
+    // one compare per row, no bookkeeping.
+    const std::size_t held = pins.held_prefix_bytes();
+    if (held >= extent) {
+      const std::size_t covered = (held - extent) / stride_ + 1;
+      std::size_t j = 0;
+      while (j < count && slots[j] < covered) ++j;
+      if (j == count) return count;
     }
-    std::sort(segs.begin(), segs.end());
-    segs.erase(std::unique(segs.begin(), segs.end()), segs.end());
-    return {store_.get(), std::move(segs)};
+    pins.begin_group();
+    std::size_t fit = 0;
+    while (fit < count &&
+           pins.add(static_cast<std::size_t>(slots[fit]) * stride_, extent)) {
+      ++fit;
+    }
+    pins.commit();
+    require(fit > 0 || count == 0, "WindowArena: row wider than pin budget");
+    return fit;
+  }
+
+  // Stored bytes of row `slot` (stride() bytes). Heap mode: always valid.
+  // Spill mode: valid only while the row is pinned (pin_rows).
+  const std::uint8_t* row_data(std::uint32_t slot) const {
+    return base() + static_cast<std::size_t>(slot) * stride_;
+  }
+
+  // Decodes a row row_data() may read (see there).
+  void decode_pinned(std::uint32_t slot, seq::Code* out) const {
+    decode_payload(row_data(slot), out, window_length_, packed_bits_);
+  }
+
+  // copy_row without the store lock: pins the row as one access group of
+  // `pins`, then decodes it in place.
+  void copy_row(PinSet& pins, std::uint32_t slot, seq::Code* out) const {
+    pin_rows(pins, &slot, 1);
+    decode_pinned(slot, out);
   }
 
   // Layout-contract check for audits: base alignment and row padding
@@ -305,6 +301,7 @@ class WindowArena {
     if (store_ != nullptr) {
       s.resident_bytes = store_->resident_bytes();
       s.store = store_->stats();
+      s.pinned_segments = store_->pinned_segments();
     } else if (buffer_ != nullptr) {
       s.resident_bytes = capacity_ * stride_ + kGuardTail;
     }

@@ -1,4 +1,5 @@
-// Unit tests for src/common: RNG, statistics, codec, table, thread pool.
+// Unit tests for src/common: RNG, statistics, codec, table, thread pool,
+// flat key set.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,6 +8,7 @@
 
 #include "src/common/codec.h"
 #include "src/common/error.h"
+#include "src/common/flat_key_set.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
@@ -14,6 +16,32 @@
 
 namespace mendel {
 namespace {
+
+// ---------- FlatKeySet ----------
+
+TEST(FlatKeySet, MatchesAReferenceSetThroughGrowthAndClear) {
+  FlatKeySet set;
+  std::set<std::uint64_t> want;
+  Rng rng(0xF1A7);
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 20000; ++i) {
+      // Small range: plenty of duplicates; also the all-ones sentinel
+      // value and zero, which must behave like any other key.
+      std::uint64_t key = (rng.below(512) << 32) | rng.below(64);
+      if (i % 997 == 0) key = ~std::uint64_t{0};
+      if (i % 991 == 0) key = 0;
+      EXPECT_EQ(set.insert(key), want.insert(key).second) << key;
+    }
+    EXPECT_EQ(set.size(), want.size());
+    for (const std::uint64_t key : want) EXPECT_TRUE(set.contains(key));
+    EXPECT_FALSE(set.contains(std::uint64_t{1} << 63));
+    set.clear();
+    want.clear();
+    EXPECT_TRUE(set.empty());
+    EXPECT_FALSE(set.contains(0));
+    EXPECT_FALSE(set.contains(~std::uint64_t{0}));
+  }
+}
 
 // ---------- Rng ----------
 

@@ -4,6 +4,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "src/common/error.h"
 #include "src/common/rng.h"
@@ -70,6 +72,24 @@ TEST(Sha1, BoundaryLengths) {
     b.update(message.substr(0, len / 2));
     b.update(message.substr(len / 2));
     EXPECT_EQ(to_hex(a.finish()), to_hex(b.finish())) << "len=" << len;
+  }
+}
+
+TEST(Sha1, KnownAnswersAtPaddingBoundaries) {
+  // 'a' * len against reference digests. 55 is the longest message whose
+  // padding fits its own block, 56..63 spill the length into a second
+  // block, and 64/119/120 repeat the cases one block later.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {0, "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
+      {55, "c1c8bbdc22796e28c0e15163d20899b65621d65a"},
+      {56, "c2db330f6083854c99d4b5bfb6e8f29f201be699"},
+      {63, "03f09f5b158a7a8cdad920bddc29b81c18a551f5"},
+      {64, "0098ba824b5c16427bd7a1122a5a442a25ec644d"},
+      {119, "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56"},
+      {120, "f34c1488385346a55709ba056ddd08280dd4c6d6"},
+  };
+  for (const auto& [len, want] : cases) {
+    EXPECT_EQ(to_hex(sha1(std::string(len, 'a'))), want) << "len=" << len;
   }
 }
 

@@ -93,7 +93,7 @@ TEST(HotPath, WindowArenaFixesLengthAndRoundTrips) {
   EXPECT_EQ(arena.window_length(), 10u);
   EXPECT_EQ(arena.size(), windows.size());
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    const auto span = arena.span(slots[i]);
+    const seq::CodeSpan span(arena.row_data(slots[i]), arena.window_length());
     EXPECT_TRUE(std::equal(span.begin(), span.end(), windows[i].begin(),
                            windows[i].end()));
   }

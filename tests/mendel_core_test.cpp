@@ -58,6 +58,19 @@ TEST(Block, PlacementKeyDependsOnIdentityAndPayload) {
   EXPECT_NE(block_placement_key(a), block_placement_key(b));
 }
 
+TEST(Block, PlacementKeyMatchesReferenceDigests) {
+  // First 8 SHA-1 bytes, big-endian, of the little-endian (sequence,
+  // start) u32 pair followed by the window codes. Placement and snapshots
+  // depend on these exact values.
+  EXPECT_EQ(block_placement_key(7, 42, std::vector<seq::Code>{0, 1, 2, 3, 4,
+                                                              5, 6, 7}),
+            0x38064382a9975b8aULL);
+  EXPECT_EQ(block_placement_key(
+                0xdeadbeefu, 0x01020304u,
+                std::vector<seq::Code>{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8}),
+            0x05210081e91cc9c6ULL);
+}
+
 TEST(Block, SequencePlacementKeyStable) {
   EXPECT_EQ(sequence_placement_key(7), sequence_placement_key(7));
   EXPECT_NE(sequence_placement_key(7), sequence_placement_key(8));

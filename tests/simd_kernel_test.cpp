@@ -460,10 +460,19 @@ TEST(WindowArena, SpilledArenaIsLosslessUnderEviction) {
                           want.data());
     std::vector<std::int64_t> got(slots.size(), -42);
     {
-      const auto pin = spilled.pin_scan(slots.data(), slots.size());
-      kernels.distance_batch_packed(*q, probe.data(), spilled.base(),
-                                    spilled.stride(), 2, slots.data(),
-                                    slots.size(), len, qthresh, got.data());
+      // The run spans more segments than the budget: scan it in the
+      // pieces the pin set can hold at once.
+      auto pins = spilled.pin_set();
+      for (std::size_t off = 0; off < slots.size();) {
+        const std::size_t run =
+            spilled.pin_rows(pins, slots.data() + off, slots.size() - off);
+        ASSERT_GT(run, 0u);
+        ASSERT_LE(pins.size(), pins.capacity());
+        kernels.distance_batch_packed(*q, probe.data(), spilled.base(),
+                                      spilled.stride(), 2, slots.data() + off,
+                                      run, len, qthresh, got.data() + off);
+        off += run;
+      }
     }
     for (std::size_t j = 0; j < slots.size(); ++j) {
       ASSERT_EQ(got[j] > qthresh, want[j] > qthresh) << "slot " << j;
@@ -493,7 +502,8 @@ TEST(WindowArena, GeometricGrowthPreservesLayoutAndContents) {
                 vpt::WindowArena::kBaseAlignment,
             0u);
   for (std::size_t i = 0; i < shadow.size(); ++i) {
-    const auto span = arena.span(static_cast<std::uint32_t>(i));
+    const seq::CodeSpan span(arena.row_data(static_cast<std::uint32_t>(i)),
+                             arena.window_length());
     ASSERT_TRUE(std::equal(span.begin(), span.end(), shadow[i].begin()));
   }
   // clear() keeps geometry and re-zeroes padding for the next epoch.

@@ -6,8 +6,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/error.h"
+#include "src/common/rng.h"
 #include "src/mendel/client.h"
 #include "src/mendel/indexer.h"
 #include "src/mendel/protocol.h"
@@ -469,6 +471,138 @@ TEST(StorageNode, SpilledClusterSavesByteIdenticalSnapshot) {
   EXPECT_EQ(slurp(spilled_path), slurp(resident_path));
   std::remove(resident_path.c_str());
   std::remove(spilled_path.c_str());
+}
+
+// One storage node alone on its own simulator, so two nodes with the same
+// id (and therefore comparable snapshots) can be driven side by side.
+struct SoloNode {
+  net::SimTransport transport{net::CostModel{.measured_cpu = false}};
+  StorageNode node;
+  std::vector<net::Message> inbox;
+  net::FunctionActor client{[this](const net::Message& m, net::Context&) {
+    inbox.push_back(m);
+  }};
+
+  explicit SoloNode(const StorageNodeConfig& config) : node(0, config) {
+    transport.register_actor(0, &node);
+    transport.register_actor(net::kClientNode, &client);
+  }
+
+  // Delivers one message and returns the payload of the reply, if any.
+  std::vector<std::uint8_t> deliver(std::uint32_t type,
+                                    std::vector<std::uint8_t> payload) {
+    inbox.clear();
+    net::Message m;
+    m.from = net::kClientNode;
+    m.to = 0;
+    m.type = type;
+    m.request_id = 1;
+    m.payload = std::move(payload);
+    transport.send(std::move(m));
+    transport.run_until_idle();
+    return inbox.empty() ? std::vector<std::uint8_t>{} : inbox[0].payload;
+  }
+
+  std::vector<std::uint8_t> snapshot() const {
+    CodecWriter writer;
+    node.save(writer);
+    return writer.data();
+  }
+};
+
+// A spilled arena is a memory policy, never a results policy: a node whose
+// arena spills through a block store several times smaller than its rows,
+// and a heap-resident twin, fed the same insert batches, return identical
+// n-NN lists after every batch and save byte-identical snapshots. No
+// search or insert may leave a segment pinned.
+TEST(StorageNode, SpilledAndResidentNodesAgreeAfterEveryInsertBatch) {
+  workload::DatabaseSpec spec;
+  spec.alphabet = seq::Alphabet::kDna;
+  spec.families = 5;
+  spec.members_per_family = 3;
+  spec.background_sequences = 10;
+  spec.min_length = 400;
+  spec.max_length = 720;
+  spec.seed = 93;
+  const auto store = workload::generate_database(spec);
+
+  cluster::TopologyConfig tcfg;
+  tcfg.num_groups = 1;
+  tcfg.nodes_per_group = 1;
+  cluster::Topology topology(tcfg);
+  const auto& distance = score::default_distance(seq::Alphabet::kDna);
+  IndexingOptions iopt;
+  iopt.window_length = 12;
+  iopt.sample_size = 256;
+  const Indexer indexer(&topology, &distance, iopt);
+  const auto prefix_tree =
+      indexer.build_prefix_tree(store, {.cutoff_depth = 2});
+  topology.bind_prefixes(prefix_tree.leaf_prefixes());
+
+  StorageNodeConfig config;
+  config.topology = &topology;
+  config.prefix_tree = &prefix_tree;
+  config.distance = &distance;
+  config.alphabet = seq::Alphabet::kDna;
+  config.database_residues = store.total_residues();
+  config.nn_cache_capacity = 0;  // every round searches the tree
+  auto spill_config = config;
+  // About three quarters of the ~56 KB of packed rows stay resident.
+  spill_config.arena_resident_budget = 12 * 4096;
+  spill_config.arena_segment_bytes = 4096;
+  SoloNode resident(config);
+  SoloNode spilled(spill_config);
+
+  std::vector<Block> blocks;
+  for (const auto& sequence : store) {
+    for (Block& block : make_blocks(sequence, iopt.window_length)) {
+      blocks.push_back(std::move(block));
+    }
+  }
+  NodeSearchPayload search;
+  search.params.matrix = "DNA";
+  search.params.n = 12;
+  search.params.identity = 0.0;  // keep every neighbor: compare raw n-NN
+  search.params.c_score = 0.0;
+  Rng rng(0x5011D);
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    const auto& donor = store.at(static_cast<seq::SequenceId>(
+        rng.below(store.size())));
+    const auto window = donor.window(
+        rng.below(donor.size() - iopt.window_length), iopt.window_length);
+    Subquery sub;
+    sub.query_offset = i;
+    sub.window.assign(window.begin(), window.end());
+    // A substitution or two, so neighbors are not just the exact block.
+    for (int m = 0; m < 2; ++m) {
+      sub.window[rng.below(sub.window.size())] =
+          static_cast<seq::Code>(rng.below(4));
+    }
+    search.subqueries.push_back(std::move(sub));
+  }
+
+  const std::size_t batches = 4;
+  for (std::size_t b = 0; b < batches; ++b) {
+    InsertBlocksPayload batch;
+    for (std::size_t i = b; i < blocks.size(); i += batches) {
+      batch.blocks.push_back(blocks[i]);
+    }
+    const auto bytes = encode_payload(batch);
+    resident.deliver(kInsertBlocks, bytes);
+    spilled.deliver(kInsertBlocks, bytes);
+    EXPECT_EQ(spilled.node.arena_stats().pinned_segments, 0u);
+
+    const auto want = resident.deliver(kNodeSearch, encode_payload(search));
+    const auto got = spilled.deliver(kNodeSearch, encode_payload(search));
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(got, want) << "n-NN lists differ after batch " << b;
+    EXPECT_EQ(spilled.node.arena_stats().pinned_segments, 0u);
+    EXPECT_TRUE(spilled.node.audit().empty()) << spilled.node.audit().front();
+  }
+  ASSERT_EQ(spilled.node.block_count(), blocks.size());
+  EXPECT_GT(spilled.node.arena_stats().store.evictions, 0u)
+      << "the budget never forced an eviction";
+  EXPECT_EQ(spilled.snapshot(), resident.snapshot());
 }
 
 TEST(StorageNode, DownNodesExcludedFromFanOut) {
