@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "src/common/error.h"
 #include "src/scoring/distance.h"
@@ -12,6 +13,12 @@
 #include "src/sequence/alphabet.h"
 
 namespace mendel::score {
+
+// Print matrix parameters by name. The default printer shows the object's
+// address, which ASLR changes on every run and which test discovery copies
+// into each registered test name.
+void PrintTo(const ScoringMatrix* m, std::ostream* os) { *os << m->name(); }
+
 namespace {
 
 using seq::Alphabet;
