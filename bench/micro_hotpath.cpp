@@ -56,14 +56,15 @@ std::vector<vpt::Window> make_windows(std::size_t count, std::uint64_t seed) {
 // Probe windows cut from mutated copies of database sequences, so searches
 // actually find neighbors instead of abandoning everything immediately.
 std::vector<vpt::Window> make_probes(const seq::SequenceStore& store,
-                                     std::size_t count, std::uint64_t seed) {
+                                     std::size_t count, std::uint64_t seed,
+                                     double similarity = 0.7) {
   Rng rng(seed);
   std::vector<vpt::Window> probes;
   probes.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const auto& origin = store.at(rng.below(store.size()));
     const auto mutated =
-        workload::mutate_to_similarity(origin, 0.7, "p", rng);
+        workload::mutate_to_similarity(origin, similarity, "p", rng);
     const auto& codes = mutated.codes();
     const std::size_t start =
         rng.below(codes.size() - kWindowLength + 1);
@@ -83,6 +84,20 @@ seq::SequenceStore make_store(std::size_t sequences, std::uint64_t seed) {
   spec.min_length = 300;
   spec.max_length = 500;
   spec.seed = seed;
+  return workload::generate_database(spec);
+}
+
+// About 180k residues of DNA: one node's share of a 1M-residue store spread
+// over six nodes, like perfbench's dna-ingest.
+seq::SequenceStore make_dna_store() {
+  workload::DatabaseSpec spec;
+  spec.alphabet = seq::Alphabet::kDna;
+  spec.families = 40;
+  spec.members_per_family = 4;
+  spec.background_sequences = 140;
+  spec.min_length = 400;
+  spec.max_length = 800;
+  spec.seed = 110;
   return workload::generate_database(spec);
 }
 
@@ -338,13 +353,17 @@ BENCHMARK(BM_TreeKnn);
 // through the same wire messages the indexer sends.
 struct NodeFixture {
   cluster::Topology topology{{.num_groups = 1, .nodes_per_group = 1}};
-  vpt::VpPrefixTree prefix_tree{&dist(), {.cutoff_depth = 4}};
-  seq::SequenceStore store = make_store(96, 107);
+  seq::SequenceStore store;
+  vpt::VpPrefixTree prefix_tree;
   std::vector<core::Block> blocks;
   std::vector<std::vector<std::uint8_t>> insert_payloads;
 
-  NodeFixture() {
-    prefix_tree.build(make_windows(2000, 108));
+  NodeFixture(seq::SequenceStore sequences,
+              const std::vector<vpt::Window>& routing_sample)
+      : store(std::move(sequences)),
+        prefix_tree(&score::default_distance(store.alphabet()),
+                    {.cutoff_depth = 4}) {
+    prefix_tree.build(routing_sample);
     topology.bind_prefixes(prefix_tree.leaf_prefixes());
     for (std::size_t s = 0; s < store.size(); ++s) {
       for (auto& block : core::make_blocks(store.at(s), kWindowLength)) {
@@ -365,8 +384,8 @@ struct NodeFixture {
     core::StorageNodeConfig config;
     config.topology = &topology;
     config.prefix_tree = &prefix_tree;
-    config.distance = &dist();
-    config.alphabet = seq::Alphabet::kProtein;
+    config.distance = &score::default_distance(store.alphabet());
+    config.alphabet = store.alphabet();
     // The subquery NN cache would otherwise answer every repeated probe
     // after the first iteration and the bench would measure cache lookups,
     // not searches (the cache has its own closed-loop bench in
@@ -376,7 +395,25 @@ struct NodeFixture {
   }
 
   static const NodeFixture& instance() {
-    static NodeFixture fixture;
+    static NodeFixture fixture(make_store(96, 107), make_windows(2000, 108));
+    return fixture;
+  }
+
+  // The duplicate-heavy shard: ~180k stride-1 DNA 8-mer blocks, of which
+  // only 4^8 = 65,536 windows can be distinct.
+  static const NodeFixture& dna() {
+    static NodeFixture fixture = [] {
+      auto sequences = make_dna_store();
+      std::vector<vpt::Window> sample;
+      for (const auto& sequence : sequences) {
+        for (std::size_t at = 0; at + kWindowLength <= sequence.size();
+             at += 97) {
+          const auto w = sequence.window(at, kWindowLength);
+          sample.emplace_back(w.begin(), w.end());
+        }
+      }
+      return NodeFixture(std::move(sequences), sample);
+    }();
     return fixture;
   }
 };
@@ -434,9 +471,9 @@ struct SearchNode {
   net::FunctionActor sink{[](const net::Message&, net::Context&) {}};
 
   // resident_budget as in run_storage_insert.
-  explicit SearchNode(std::size_t resident_budget)
+  SearchNode(const NodeFixture& fix, std::size_t resident_budget)
       : node(0, [&] {
-          auto config = NodeFixture::instance().node_config();
+          auto config = fix.node_config();
           config.metrics = &registry;
           config.arena_resident_budget = resident_budget;
           config.arena_segment_bytes = std::size_t{64} << 10;
@@ -444,7 +481,7 @@ struct SearchNode {
         }()) {
     transport.register_actor(0, &node);
     transport.register_actor(net::kClientNode, &sink);
-    for (const auto& payload : NodeFixture::instance().insert_payloads) {
+    for (const auto& payload : fix.insert_payloads) {
       transport.send({.from = net::kClientNode,
                       .to = 0,
                       .type = core::kInsertBlocks,
@@ -458,11 +495,10 @@ struct SearchNode {
 // The acceptance kernel: a full on_node_search handler — payload decode,
 // per-subquery bounded n-NN with radius cap, identity + c-score filters,
 // reply encode — measured per subquery.
-void run_node_search(benchmark::State& state, SearchNode& bench) {
-  const auto& fix = NodeFixture::instance();
-  constexpr std::size_t kSubqueries = 64;
-  const auto probes = make_probes(fix.store, kSubqueries, 109);
-  core::NodeSearchPayload search;
+void run_node_search(benchmark::State& state, SearchNode& bench,
+                     const std::vector<vpt::Window>& probes,
+                     core::NodeSearchPayload search) {
+  const std::size_t kSubqueries = probes.size();
   search.params.k = kWindowLength;
   for (std::size_t i = 0; i < probes.size(); ++i) {
     search.subqueries.push_back(
@@ -480,12 +516,18 @@ void run_node_search(benchmark::State& state, SearchNode& bench) {
     bench.transport.run_until_idle();
   }
   state.SetLabel("blocks " + std::to_string(bench.node.block_count()));
-  state.SetItemsProcessed(state.iterations() * kSubqueries);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kSubqueries));
+}
+
+void run_protein_search(benchmark::State& state, SearchNode& bench) {
+  const auto& fix = NodeFixture::instance();
+  run_node_search(state, bench, make_probes(fix.store, 64, 109), {});
 }
 
 void BM_NodeSearch(benchmark::State& state) {
-  static SearchNode bench(0);
-  run_node_search(state, bench);
+  static SearchNode bench(NodeFixture::instance(), 0);
+  run_protein_search(state, bench);
 }
 BENCHMARK(BM_NodeSearch);
 
@@ -493,10 +535,25 @@ BENCHMARK(BM_NodeSearch);
 // above the arena: nothing is evicted, so the gap to BM_NodeSearch is what
 // pinning and reading spilled rows costs.
 void BM_NodeSearchSpilled(benchmark::State& state) {
-  static SearchNode bench(std::size_t{64} << 20);
-  run_node_search(state, bench);
+  static SearchNode bench(NodeFixture::instance(), std::size_t{64} << 20);
+  run_protein_search(state, bench);
 }
 BENCHMARK(BM_NodeSearchSpilled);
+
+// Reads against the duplicate-heavy DNA shard with dna-ingest's search
+// parameters (3% substituted 150 bp reads; n 16, identity 0.6, c-score
+// 0.4), where exact distance ties between repeated windows are the norm.
+void BM_NodeSearchDna(benchmark::State& state) {
+  const auto& fix = NodeFixture::dna();
+  static SearchNode bench(fix, 0);
+  core::NodeSearchPayload search;
+  search.params.matrix = "DNA";
+  search.params.n = 16;
+  search.params.identity = 0.6;
+  search.params.c_score = 0.4;
+  run_node_search(state, bench, make_probes(fix.store, 64, 111, 0.97), search);
+}
+BENCHMARK(BM_NodeSearchDna);
 
 }  // namespace
 

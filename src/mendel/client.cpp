@@ -687,16 +687,20 @@ obs::MetricsSnapshot Client::metrics() const {
 
   // Window-arena residency across the cluster: how many arena bytes are
   // mapped in memory right now, how many the packed rows occupy in total,
-  // and the block stores' fault/eviction traffic (all zero for all-resident
-  // unpacked deployments — the entries are always present so dashboards
-  // and the schema check see a stable key set).
+  // how many distinct windows the nodes index (against
+  // node.blocks_inserted, the dedup ratio), and the block stores'
+  // fault/eviction traffic (all zero for all-resident unpacked deployments
+  // — the entries are always present so dashboards and the schema check
+  // see a stable key set).
   std::uint64_t resident = 0;
   std::uint64_t packed = 0;
+  std::uint64_t windows = 0;
   vpt::BlockStoreStats store_totals;
   for (const auto& node : nodes_) {
     const auto arena = node->arena_stats();
     resident += arena.resident_bytes;
     packed += arena.packed_bytes;
+    windows += node->window_count();
     store_totals.hits += arena.store.hits;
     store_totals.misses += arena.store.misses;
     store_totals.evictions += arena.store.evictions;
@@ -706,6 +710,7 @@ obs::MetricsSnapshot Client::metrics() const {
       {"arena.resident_bytes", static_cast<std::int64_t>(resident)});
   snap.gauges.push_back(
       {"arena.packed_bytes", static_cast<std::int64_t>(packed)});
+  snap.gauges.push_back({"arena.windows", static_cast<std::int64_t>(windows)});
   add_counter("blockstore.hits", store_totals.hits);
   add_counter("blockstore.misses", store_totals.misses);
   add_counter("blockstore.evictions", store_totals.evictions);

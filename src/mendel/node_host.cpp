@@ -2,10 +2,34 @@
 
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "src/common/error.h"
 #include "src/scoring/distance.h"
 
 namespace mendel::core {
+
+namespace {
+
+// Fixes glibc's mmap threshold at 128 KiB, once per process. Left dynamic,
+// every free of a large buffer (an arena regrowth, a reply, a rebuilt
+// vp-tree level) raises it — and the trim threshold with it — to as much
+// as 32 and 64 MiB, after which thread-arena heap tops stay resident even
+// through malloc_trim. A fixed threshold keeps large buffers in their own
+// mappings, returned to the kernel on free. Daemons live for days and
+// serve from pool threads, so this is where freed memory piles up.
+void pin_mmap_threshold() {
+#if defined(__GLIBC__)
+  static const bool pinned = [] {
+    return mallopt(M_MMAP_THRESHOLD, 128 * 1024) == 1;
+  }();
+  (void)pinned;
+#endif
+}
+
+}  // namespace
 
 class NodeHost::HostActor final : public net::Actor {
  public:
@@ -23,6 +47,7 @@ NodeHost::NodeHost(net::Transport* transport, NodeHostOptions options)
     : options_(std::move(options)) {
   require(transport != nullptr, "NodeHost: null transport");
   require(!options_.node_ids.empty(), "NodeHost: no node ids to host");
+  pin_mmap_threshold();
   if (options_.search_threads > 0) {
     search_pool_ = std::make_unique<ThreadPool>(options_.search_threads);
   }

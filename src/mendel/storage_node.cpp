@@ -1,6 +1,7 @@
 #include "src/mendel/storage_node.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "src/align/banded.h"
 #include "src/align/ungapped.h"
@@ -41,9 +42,7 @@ const score::ScoringMatrix& matrix_from_wire(const std::string& name) {
 StorageNode::StorageNode(net::NodeId id, StorageNodeConfig config)
     : id_(id),
       config_(config),
-      tree_(BlockRefMetric{config.distance, &arena_, &probe_},
-            vpt::DynamicVpTreeOptions{config.bucket_capacity, true, 2.0,
-                                      0x6e6f6465ULL + id}),
+      tree_(fresh_tree()),
       span_buffer_(config.trace_buffer_capacity) {
   require(config_.topology != nullptr, "StorageNode: null topology");
   require(config_.prefix_tree != nullptr, "StorageNode: null prefix tree");
@@ -113,16 +112,41 @@ std::uint64_t StorageNode::record_span(const char* name,
   return span_id;
 }
 
+StorageNode::Tree StorageNode::fresh_tree() {
+  return Tree(BlockRefMetric{config_.distance, &arena_, &postings_, &probe_},
+              vpt::DynamicVpTreeOptions{config_.bucket_capacity, true, 2.0,
+                                        0x6e6f6465ULL + id_});
+}
+
+template <typename Append>
+bool StorageNode::admit_block(BlockRef ref, seq::CodeSpan window,
+                              Append&& append, std::vector<BlockRef>& fresh) {
+  if (!block_keys_.insert(ref.key())) return false;
+  bool new_window = false;
+  std::tie(ref.slot, new_window) = windows_.find_or_add(window, arena_, append);
+  if (new_window) {
+    fresh.push_back(ref);
+  } else {
+    postings_.add(ref.slot, ref);
+  }
+  return true;
+}
+
 std::vector<StorageNode::BlockRef> StorageNode::admit_blocks(
-    std::vector<Block> blocks) {
+    const std::vector<Block>& blocks, std::size_t& admitted) {
+  // Window-index lookups miss the cache on large shards; start each a few
+  // blocks ahead so the misses overlap.
+  constexpr std::size_t kLookAhead = 8;
   std::vector<BlockRef> fresh;
   fresh.reserve(blocks.size());
-  for (const Block& block : blocks) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(block.sequence) << 32) | block.start;
-    if (!block_keys_.insert(key)) continue;
-    const std::uint32_t slot = arena_.append(block.window);
-    fresh.push_back({block.sequence, block.start, slot});
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    if (i + kLookAhead < blocks.size()) {
+      windows_.prefetch(blocks[i + kLookAhead].window);
+    }
+    const Block& block = blocks[i];
+    const seq::CodeSpan window(block.window);
+    admitted += admit_block({block.sequence, block.start, 0}, window,
+                            [&] { return arena_.append(window); }, fresh);
   }
   return fresh;
 }
@@ -327,19 +351,18 @@ void StorageNode::on_insert_blocks(const net::Message& message) {
   }
   // Deduplicate: replication and rebalance may redeliver blocks this node
   // already stores.
-  auto fresh = admit_blocks(std::move(payload.blocks));
-  counters_.blocks_inserted += fresh.size();
-  if (!fresh.empty()) {
-    // The block set changed: cached seed lists may miss the new blocks.
-    invalidate_nn_cache();
+  std::size_t admitted = 0;
+  auto fresh = admit_blocks(payload.blocks, admitted);
+  counters_.blocks_inserted += admitted;
+  if (admitted == 0) return;
+  // The block set changed — even when every new block only adds a posting
+  // to a stored window, it can displace a cached neighbor on the tie
+  // order — so cached seed lists may be stale.
+  invalidate_nn_cache();
+  if (!fresh.empty()) insert_refs(std::move(fresh));
 #ifdef MENDEL_CHECKED
-    const auto admitted = fresh;
+  checked_audit_insert(payload.blocks);
 #endif
-    insert_refs(std::move(fresh));
-#ifdef MENDEL_CHECKED
-    checked_audit_fresh(admitted);
-#endif
-  }
 }
 
 // --- sequence repository --------------------------------------------------
@@ -573,8 +596,9 @@ std::vector<Seed> StorageNode::search_subquery(
   // One pin set for the whole search: each spilled segment it reads is
   // pinned once and read in place until the search returns.
   auto pins = arena_.pin_set();
-  const BlockRefMetric metric{config_.distance, &arena_, &probe_span, &pins,
-                              c_batched_scans_, c_scalar_fallbacks_};
+  const BlockRefMetric metric{config_.distance, &arena_, &postings_,
+                              &probe_span, &pins, c_batched_scans_,
+                              c_scalar_fallbacks_};
   const BlockRef probe_ref{0, 0, BlockRef::kProbeSlot};
   // Exact radius cap from the identity filter: a candidate passing
   // identity >= i differs in at most (1-i)*k positions, each costing at
@@ -1489,38 +1513,40 @@ void StorageNode::on_rebalance(net::Context& ctx) {
 
   // Blocks: ship everything whose owner set no longer includes this node,
   // then compact the survivors into a fresh arena + tree (slots are
-  // append-only, so eviction is a rebuild).
-  const auto refs = tree_.collect_all();
+  // append-only, so eviction is a rebuild). Ownership is per block, so one
+  // window's postings may split across owners.
   std::vector<Block> kept;
   std::map<net::NodeId, InsertBlocksPayload> outgoing;
   {
     // Pins drop before arena_.clear(), which needs an unpinned store.
     auto pins = arena_.pin_set();
-    for (const BlockRef& ref : refs) {
-      Block block;
-      block.sequence = ref.sequence;
-      block.start = ref.start;
-      block.window.resize(arena_.window_length());
-      arena_.copy_row(pins, ref.slot, block.window.data());
+    std::vector<seq::Code> window(arena_.window_length());
+    std::uint32_t decoded = BlockRef::kProbeSlot;
+    for_each_block([&](const BlockRef& ref) {
+      if (ref.slot != decoded) {
+        arena_.copy_row(pins, ref.slot, window.data());
+        decoded = ref.slot;
+      }
+      Block block{ref.sequence, ref.start, window};
       const auto owners = config_.topology->nodes_for_key(
           group, block_placement_key(block));
       if (std::find(owners.begin(), owners.end(), id_) != owners.end()) {
         kept.push_back(std::move(block));
-        continue;
+        return;
       }
       for (net::NodeId owner : owners) {
         outgoing[owner].blocks.push_back(block);
       }
-    }
+    });
   }
   if (!outgoing.empty()) {
     block_keys_.clear();
     arena_.clear();
-    tree_ = vpt::DynamicVpTree<BlockRef, BlockRefMetric>(
-        BlockRefMetric{config_.distance, &arena_, &probe_},
-        vpt::DynamicVpTreeOptions{config_.bucket_capacity, true, 2.0,
-                                  0x6e6f6465ULL + id_});
-    auto fresh = admit_blocks(std::move(kept));
+    windows_.clear();
+    postings_.clear();
+    tree_ = fresh_tree();
+    std::size_t admitted = 0;
+    auto fresh = admit_blocks(kept, admitted);
     if (!fresh.empty()) insert_refs(std::move(fresh));
   }
   for (auto& [owner, payload] : outgoing) {
@@ -1556,13 +1582,14 @@ void StorageNode::save(CodecWriter& writer) const {
   writer.u32(id_);
   // v2 dumps arena rows in their stored (possibly bit-packed) form — no
   // inflate/deflate round trip — preceded by the geometry needed to decode
-  // them: block identities in slot order, then one contiguous blob of
-  // row_bytes()-sized payloads (stride padding is not persisted).
-  auto refs = tree_.collect_all();
-  std::sort(refs.begin(), refs.end(),
-            [](const BlockRef& a, const BlockRef& b) {
-              return a.slot < b.slot;
-            });
+  // them: block identities in (sequence, start) order, then one contiguous
+  // blob of row_bytes()-sized payloads, one per block (stride padding is
+  // not persisted). The canonical order makes the bytes independent of
+  // admission order and of which block stands for a repeated window.
+  std::vector<BlockRef> refs;
+  refs.reserve(block_count());
+  for_each_block([&refs](const BlockRef& ref) { refs.push_back(ref); });
+  std::sort(refs.begin(), refs.end(), BlockOrder{});
   writer.u32(static_cast<std::uint32_t>(arena_.window_length()));
   writer.u8(static_cast<std::uint8_t>(arena_.packed_bits()));
   writer.u32(static_cast<std::uint32_t>(refs.size()));
@@ -1632,28 +1659,29 @@ void StorageNode::load(CodecReader& reader) {
   if (blob > reader.remaining()) {
     throw DecodeError("StorageNode::load: row blob overruns the buffer");
   }
-  // Rows go straight from the snapshot into the arena; when the stored
-  // width matches the arena's encoding this is a verbatim copy, otherwise
-  // append_row transcodes (e.g. a 4-bit snapshot loaded into a fresh
-  // 2-bit arena widens it on the first ambiguity code).
+  // Rows go straight from the snapshot into the arena, once per distinct
+  // window; when the stored width matches the arena's encoding this is a
+  // verbatim copy, otherwise append_row transcodes (e.g. a 4-bit snapshot
+  // loaded into a fresh 2-bit arena widens it on the first ambiguity
+  // code). Any block order loads; save writes (sequence, start) order.
   std::vector<BlockRef> fresh;
-  fresh.reserve(block_count);
+  std::size_t admitted = 0;
+  std::vector<seq::Code> window(window_len);
   for (const auto& [sequence, start] : idents) {
     const auto row = reader.raw(row_bytes);
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(sequence) << 32) | start;
-    if (!block_keys_.insert(key)) continue;  // idempotent re-delivery
-    const std::uint32_t slot =
-        arena_.append_row(row.data(), row_bytes, window_len, bits);
-    fresh.push_back({sequence, start, slot});
+    vpt::WindowArena::decode_row(row.data(), window.data(), window_len, bits);
+    admitted += admit_block(
+        {sequence, start, 0}, window,
+        [&] {
+          return arena_.append_row(row.data(), row_bytes, window_len, bits);
+        },
+        fresh);
   }
   // Restored items count separately from this session's insertions (the
   // inserted/stored counters track work done since startup).
-  counters_.blocks_restored += fresh.size();
-  if (!fresh.empty()) {
-    invalidate_nn_cache();
-    insert_refs(std::move(fresh));
-  }
+  counters_.blocks_restored += admitted;
+  if (admitted > 0) invalidate_nn_cache();
+  if (!fresh.empty()) insert_refs(std::move(fresh));
   const std::uint32_t count = reader.u32();
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t sid = reader.u32();
@@ -1671,10 +1699,9 @@ void StorageNode::load(CodecReader& reader) {
 // --- invariant verification -------------------------------------------------
 
 std::vector<Block> StorageNode::blocks() const {
-  const auto refs = tree_.collect_all();
   std::vector<Block> out;
-  out.reserve(refs.size());
-  for (const BlockRef& ref : refs) out.push_back(materialize(ref));
+  out.reserve(block_count());
+  for_each_block([&](const BlockRef& ref) { out.push_back(materialize(ref)); });
   return out;
 }
 
@@ -1686,14 +1713,11 @@ std::vector<seq::SequenceId> StorageNode::stored_sequence_ids() const {
   return ids;
 }
 
-void StorageNode::audit_placement(const BlockRef& ref,
+void StorageNode::audit_placement(const BlockRef& ref, seq::CodeSpan window,
                                   std::vector<std::string>& out) const {
   const std::string ident = "node " + std::to_string(id_) + ": block (seq " +
                             std::to_string(ref.sequence) + ", start " +
                             std::to_string(ref.start) + ")";
-  std::vector<seq::Code> decoded(arena_.window_length());
-  arena_.copy_row(ref.slot, decoded.data());
-  const seq::CodeSpan window{decoded.data(), decoded.size()};
   // Tier 1: the window must re-hash to the group this node belongs to.
   const std::uint32_t own_group = config_.topology->address(id_).group;
   const std::uint64_t prefix = config_.prefix_tree->hash(window);
@@ -1730,6 +1754,85 @@ void StorageNode::audit_store(std::vector<std::string>& out) const {
   }
 }
 
+bool StorageNode::audit_windows(std::vector<std::string>& out,
+                                std::size_t max_violations) const {
+  const std::string me = "node " + std::to_string(id_);
+  auto ident = [](const BlockRef& ref) {
+    return "block (seq " + std::to_string(ref.sequence) + ", start " +
+           std::to_string(ref.start) + ")";
+  };
+  // One tree item and one arena row per distinct window, each row findable
+  // through the window index.
+  if (tree_.size() != arena_.size() || windows_.size() != arena_.size()) {
+    out.push_back(me + ": vp-tree holds " + std::to_string(tree_.size()) +
+                  " windows, the window arena " +
+                  std::to_string(arena_.size()) + " and the window index " +
+                  std::to_string(windows_.size()));
+  }
+  // The postings — tree items plus the repeated windows' runs — are
+  // exactly the stored blocks.
+  if (block_count() != block_keys_.size()) {
+    out.push_back(me + ": holds " + std::to_string(block_count()) +
+                  " block postings but the dedup key set holds " +
+                  std::to_string(block_keys_.size()));
+  }
+  std::vector<bool> item_at(arena_.size(), false);
+  std::vector<seq::Code> window(arena_.window_length());
+  bool rows_ok = true;
+  tree_.for_each([&](const BlockRef& item) {
+    if (out.size() >= max_violations || !rows_ok) return;
+    if (item.slot >= arena_.size()) {
+      out.push_back(me + ": " + ident(item) + " references arena slot " +
+                    std::to_string(item.slot) + " past the arena end");
+      rows_ok = false;  // the row checks below would read out of bounds
+      return;
+    }
+    if (item_at[item.slot]) {
+      out.push_back(me + ": arena slot " + std::to_string(item.slot) +
+                    " stands for more than one vp-tree item");
+    }
+    item_at[item.slot] = true;
+    arena_.copy_row(item.slot, window.data());
+    if (windows_.find(window, arena_) != item.slot) {
+      out.push_back(me + ": the window index does not map " + ident(item) +
+                    "'s window to its arena slot " +
+                    std::to_string(item.slot));
+    }
+    if (!block_keys_.contains(item.key())) {
+      out.push_back(me + ": " + ident(item) +
+                    " is missing from the dedup key set");
+    }
+  });
+  if (!rows_ok) return false;
+  postings_.for_each_run([&](std::uint32_t slot,
+                             std::span<const BlockRef> run) {
+    if (out.size() >= max_violations) return;
+    if (slot >= item_at.size() || !item_at[slot]) {
+      out.push_back(me + ": postings of arena slot " + std::to_string(slot) +
+                    " have no vp-tree item");
+    }
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      const BlockRef& posting = run[i];
+      if (posting.slot != slot) {
+        out.push_back(me + ": " + ident(posting) +
+                      " is filed under arena slot " + std::to_string(slot) +
+                      " but references slot " + std::to_string(posting.slot));
+      }
+      // Sorted runs let the n-NN search stop at the first rejected posting.
+      if (i > 0 && !BlockOrder{}(run[i - 1], posting)) {
+        out.push_back(me + ": postings of arena slot " +
+                      std::to_string(slot) + " are out of (sequence, start) "
+                      "order at " + ident(posting));
+      }
+      if (!block_keys_.contains(posting.key())) {
+        out.push_back(me + ": " + ident(posting) +
+                      " is missing from the dedup key set");
+      }
+    }
+  });
+  return out.size() < max_violations;
+}
+
 std::vector<std::string> StorageNode::audit(std::size_t max_violations) const {
   std::vector<std::string> out;
   const std::string me = "node " + std::to_string(id_);
@@ -1761,40 +1864,12 @@ std::vector<std::string> StorageNode::audit(std::size_t max_violations) const {
 
   audit_store(out);
 
-  // Bookkeeping: tree contents, dedup keys and arena slots must agree.
-  const auto refs = tree_.collect_all();
-  if (refs.size() != block_keys_.size()) {
-    out.push_back(me + ": vp-tree holds " + std::to_string(refs.size()) +
-                  " blocks but the dedup key set holds " +
-                  std::to_string(block_keys_.size()));
-  }
-  if (refs.size() != arena_.size()) {
-    out.push_back(me + ": vp-tree holds " + std::to_string(refs.size()) +
-                  " blocks but the window arena holds " +
-                  std::to_string(arena_.size()));
-  }
-  for (const BlockRef& ref : refs) {
-    if (out.size() >= max_violations) return out;
-    if (ref.slot >= arena_.size()) {
-      out.push_back(me + ": block (seq " + std::to_string(ref.sequence) +
-                    ", start " + std::to_string(ref.start) +
-                    ") references arena slot " + std::to_string(ref.slot) +
-                    " past the arena end");
-      return out;  // placement below would read out of bounds
-    }
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(ref.sequence) << 32) | ref.start;
-    if (!block_keys_.contains(key)) {
-      out.push_back(me + ": block (seq " + std::to_string(ref.sequence) +
-                    ", start " + std::to_string(ref.start) +
-                    ") is missing from the dedup key set");
-    }
-  }
+  if (!audit_windows(out, max_violations)) return out;
 
   // Two-tier DHT placement of every stored block. hash() needs a routing
   // tree whose window length matches the stored payloads, so check that
   // compatibility first instead of letting it throw mid-audit.
-  if (!refs.empty()) {
+  if (!tree_.empty()) {
     if (!config_.prefix_tree->built()) {
       out.push_back(me + ": stores blocks but the routing prefix tree is "
                          "not built");
@@ -1809,10 +1884,17 @@ std::vector<std::string> StorageNode::audit(std::size_t max_violations) const {
       return out;
     }
   }
-  for (const BlockRef& ref : refs) {
-    if (out.size() >= max_violations) return out;
-    audit_placement(ref, out);
-  }
+  std::vector<seq::Code> window(arena_.window_length());
+  tree_.for_each([&](const BlockRef& item) {
+    if (out.size() >= max_violations) return;
+    arena_.copy_row(item.slot, window.data());
+    audit_placement(item, window, out);
+    for (const BlockRef& posting : postings_.extras(item.slot)) {
+      if (out.size() >= max_violations) return;
+      audit_placement(posting, window, out);
+    }
+  });
+  if (out.size() >= max_violations) return out;
 
   // Sequence shard: every stored sequence's repository-ring homes must
   // include this node.
@@ -1837,8 +1919,8 @@ void StorageNode::checked_audit(const char* where) const {
                        << " violation(s)), first: " << violations.front());
 }
 
-void StorageNode::checked_audit_fresh(
-    const std::vector<BlockRef>& fresh) const {
+void StorageNode::checked_audit_insert(
+    const std::vector<Block>& delivered) const {
   std::vector<std::string> out;
   for (auto& violation : tree_.validate()) {
     out.push_back("node " + std::to_string(id_) + " vp-tree: " +
@@ -1846,9 +1928,9 @@ void StorageNode::checked_audit_fresh(
   }
   audit_store(out);
   if (config_.checked_placement_audit) {
-    for (const BlockRef& ref : fresh) {
+    for (const Block& block : delivered) {
       if (out.size() >= 32) break;
-      audit_placement(ref, out);
+      audit_placement({block.sequence, block.start, 0}, block.window, out);
     }
   }
   MENDEL_CHECK(out.empty(),

@@ -35,6 +35,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -55,6 +56,7 @@
 #include "src/vptree/dynamic_vptree.h"
 #include "src/vptree/prefix_tree.h"
 #include "src/vptree/window_arena.h"
+#include "src/vptree/window_index.h"
 
 namespace mendel::core {
 
@@ -156,7 +158,11 @@ class StorageNode final : public net::Actor {
   void handle(const net::Message& message, net::Context& ctx) override;
 
   net::NodeId id() const { return id_; }
-  std::size_t block_count() const { return tree_.size(); }
+  // Stored blocks: one vp-tree item per distinct window plus the postings
+  // of the windows that repeat.
+  std::size_t block_count() const { return tree_.size() + postings_.size(); }
+  // Distinct windows (vp-tree items, arena rows).
+  std::size_t window_count() const { return tree_.size(); }
   std::size_t sequence_count() const { return sequences_.size(); }
   // Highest stored sequence id + 1 (0 when the shard is empty); the client
   // uses the cluster-wide max as its id watermark after load_index().
@@ -198,31 +204,38 @@ class StorageNode final : public net::Actor {
   void load(CodecReader& reader);
 
   // --- invariant verification (src/verify, tools/mendel_verify) ---------
-  // Materialized copies of every stored block, tree iteration order.
+  // Materialized copies of every stored block: tree iteration order, each
+  // window's item followed by its other postings.
   std::vector<Block> blocks() const;
   // Ascending ids of the sequences this shard stores.
   std::vector<seq::SequenceId> stored_sequence_ids() const;
   // Deep node-local audit: local vp-tree structure (balance, occupancy,
-  // mu admissibility), block/arena/dedup-key bookkeeping, two-tier DHT
-  // placement of every stored block (tier 1: the window re-hashes to this
-  // node's group; tier 2: the intra-group ring owners include this node)
-  // and the repository ring homes of every stored sequence. Returns
-  // human-readable violations, at most `max_violations`; empty = sound.
+  // mu admissibility), window/posting/arena/dedup-key bookkeeping,
+  // two-tier DHT placement of every stored block (tier 1: the window
+  // re-hashes to this node's group; tier 2: the intra-group ring owners
+  // include this node) and the repository ring homes of every stored
+  // sequence. Returns human-readable violations, at most
+  // `max_violations`; empty = sound.
   // Under MENDEL_CHECKED this runs automatically after rebalance and
-  // load (and a fresh-blocks-only variant after every insert batch).
+  // load (and a delivered-blocks-only variant after every insert batch).
   std::vector<std::string> audit(std::size_t max_violations = 32) const;
 
  private:
+  // Tests seed bookkeeping corruptions through it (storage_node_test).
+  friend struct StorageNodeTestPeer;
+
   // Stored sequence shard entry.
   struct StoredSequence {
     std::string name;
     std::vector<seq::Code> codes;
   };
 
-  // What the local vp-tree stores: block identity plus the slot of its
-  // window payload in the node's SoA arena. 12 bytes instead of a Block
-  // with a heap-allocated window, so tree rebuilds shuffle indices and
-  // bucket scans read one contiguous code buffer.
+  // One stored block: its identity plus the slot of its window payload in
+  // the node's SoA arena. The vp-tree holds one per distinct window (the
+  // window's first admitted block); the window's other blocks are postings
+  // beside the tree. 12 bytes instead of a Block with a heap-allocated
+  // window, so tree rebuilds shuffle indices and bucket scans read one
+  // contiguous code buffer.
   struct BlockRef {
     // Sentinel slot marking a search probe; its codes live in the node's
     // `probe_` span rather than the arena.
@@ -231,7 +244,19 @@ class StorageNode final : public net::Actor {
     seq::SequenceId sequence = seq::kInvalidSequenceId;
     std::uint32_t start = 0;
     std::uint32_t slot = 0;
+
+    std::uint64_t key() const {
+      return (static_cast<std::uint64_t>(sequence) << 32) | start;
+    }
   };
+  // The n-NN tie order over blocks: (sequence, start), unique per node.
+  struct BlockOrder {
+    bool operator()(const BlockRef& a, const BlockRef& b) const {
+      return a.key() < b.key();
+    }
+  };
+  // Repeated windows' postings beyond their tree item, by arena slot.
+  using Postings = vpt::PostingLists<BlockRef, BlockOrder>;
 
   // Metric adapter: L1 window distance between arena-resident windows,
   // with the early-abandoning variant the vp-tree uses for bucket scans
@@ -245,6 +270,7 @@ class StorageNode final : public net::Actor {
 
     const score::DistanceMatrix* distance;
     const vpt::WindowArena* arena;
+    const Postings* postings;
     const seq::CodeSpan* probe;
     // The running operation's pin set (one search, one insert batch):
     // spilled rows are pinned into it and read in place, without the store
@@ -295,8 +321,12 @@ class StorageNode final : public net::Actor {
     // required for sim/threaded transport parity on DNA, whose 4-letter
     // alphabet makes exact window-distance ties pervasive.
     bool tie_before(const BlockRef& a, const BlockRef& b) const {
-      if (a.sequence != b.sequence) return a.sequence < b.sequence;
-      return a.start < b.start;
+      return BlockOrder{}(a, b);
+    }
+    // The other blocks sharing a tree item's window, in tie order: the
+    // n-NN search offers each at the item's distance.
+    std::span<const BlockRef> more_postings(const BlockRef& item) const {
+      return postings->extras(item.slot);
     }
     double bounded(const BlockRef& a, const BlockRef& b,
                    double bound) const {
@@ -509,27 +539,56 @@ class StorageNode final : public net::Actor {
   bool is_down(net::NodeId node) const { return down_.contains(node); }
   std::vector<net::NodeId> alive_group_members(std::uint32_t group) const;
 
-  // Admits blocks this node does not yet store: dedups against
-  // block_keys_, appends windows to the arena, returns the new refs.
-  std::vector<BlockRef> admit_blocks(std::vector<Block> blocks);
+  // Admits one block unless already stored (dedup against block_keys_;
+  // false for a re-delivery). A block whose window the node holds becomes
+  // a posting of that window; any other appends its window to the arena
+  // through `append` (returning the new slot) and joins `fresh` as a new
+  // tree item.
+  template <typename Append>
+  bool admit_block(BlockRef ref, seq::CodeSpan window, Append&& append,
+                   std::vector<BlockRef>& fresh);
+  // admit_block over a batch; returns the new tree items and adds the
+  // admitted block count to `admitted`.
+  std::vector<BlockRef> admit_blocks(const std::vector<Block>& blocks,
+                                     std::size_t& admitted);
+  using Tree = vpt::DynamicVpTree<BlockRef, BlockRefMetric>;
+  // An empty vp-tree whose metric reads this node's arena and postings.
+  Tree fresh_tree();
+  // Every stored block: each tree item followed by its window's postings.
+  template <typename Fn>
+  void for_each_block(Fn&& fn) const {
+    tree_.for_each([&](const BlockRef& item) {
+      fn(item);
+      for (const BlockRef& posting : postings_.extras(item.slot)) {
+        fn(posting);
+      }
+    });
+  }
   // insert_batch() of freshly admitted refs, reading the arena through one
   // operation-scoped pin set.
   void insert_refs(std::vector<BlockRef> refs);
 
-  // Checks the two-tier placement of one stored block (see audit()).
-  void audit_placement(const BlockRef& ref,
+  // Checks the two-tier placement of one stored block whose window holds
+  // `window` (see audit()).
+  void audit_placement(const BlockRef& ref, seq::CodeSpan window,
                        std::vector<std::string>& out) const;
+  // Checks the distinct-window bookkeeping: one tree item, arena row and
+  // window-index entry per window; sorted posting runs filed under their
+  // window; and tree items plus postings equal to the dedup key set.
+  // False when a violation (or the cap) means audit() must stop here.
+  bool audit_windows(std::vector<std::string>& out,
+                     std::size_t max_violations) const;
   // Checks the arena's block store: residency invariants, and no pin left
   // behind by a finished operation (see audit()).
   void audit_store(std::vector<std::string>& out) const;
 #ifdef MENDEL_CHECKED
   // MENDEL_CHECKED hooks: throw CheckError on the first violation.
   void checked_audit(const char* where) const;
-  // Insert-time variant: audits only the freshly admitted refs, because a
-  // mid-rebalance node may legitimately still hold stale blocks while the
-  // eviction wave drains; the fresh ones were routed with the current
-  // topology and must already be placed correctly.
-  void checked_audit_fresh(const std::vector<BlockRef>& fresh) const;
+  // Insert-time variant: audits only the blocks of the delivered batch,
+  // because a mid-rebalance node may legitimately still hold stale blocks
+  // while the eviction wave drains; the delivered ones were routed with
+  // the current topology and must already be placed correctly.
+  void checked_audit_insert(const std::vector<Block>& delivered) const;
 #endif
   // Reconstitutes the wire-format Block of a stored ref (codec paths).
   Block materialize(const BlockRef& ref) const;
@@ -553,13 +612,17 @@ class StorageNode final : public net::Actor {
   net::NodeId id_;
   StorageNodeConfig config_;
   double max_residue_distance_ = 0.0;  // cached distance->max_entry()
-  // SoA payload store + current probe window; both must outlive (and are
-  // declared before) the tree whose metric points at them.
+  // SoA payload store (one row per distinct window), the window -> row
+  // lookup, repeated windows' postings and the current probe window; all
+  // must outlive (and are declared before) the tree whose metric points at
+  // them.
   vpt::WindowArena arena_;
+  vpt::WindowIndex windows_;
+  Postings postings_;
   seq::CodeSpan probe_;
-  vpt::DynamicVpTree<BlockRef, BlockRefMetric> tree_;
-  // Identities of stored blocks ((sequence << 32) | start) so re-deliveries
-  // during replication and rebalance stay idempotent.
+  Tree tree_;
+  // Identities of stored blocks (BlockRef::key()) so re-deliveries during
+  // replication and rebalance stay idempotent.
   FlatKeySet block_keys_;
   std::unordered_map<std::uint32_t, StoredSequence> sequences_;
   std::set<net::NodeId> down_;

@@ -33,6 +33,7 @@
 #include <limits>
 #include <memory>
 #include <queue>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -310,6 +311,19 @@ class DynamicVpTree {
         { m.tie_before(a, b) } -> std::convertible_to<bool>;
       };
 
+  // Detects a Metric whose stored items each stand for a run of postings
+  // with identical content (one distinct window and the blocks that share
+  // it): more_postings(a) lists a's postings other than `a` itself, in
+  // ascending tie order. Every posting of an admitted item is offered at
+  // the item's distance, so the heap ranks postings, not items, and the
+  // result is the same unique n smallest as over a tree holding every
+  // posting. The order lets a run stop at its first rejected posting: a
+  // later one ties it on distance and loses to it on the tie order.
+  template <typename M>
+  static constexpr bool has_postings = requires(const M& m, const T& a) {
+    { m.more_postings(a) } -> std::convertible_to<std::span<const T>>;
+  };
+
   template <typename M>
   struct KnnState {
     const M* metric;
@@ -336,9 +350,19 @@ class DynamicVpTree {
     }
     void offer(const T* item, double distance) {
       if (distance > cap) return;
+      admit(item, distance);
+      if constexpr (has_postings<M>) {
+        for (const T& posting : metric->more_postings(*item)) {
+          if (!admit(&posting, distance)) return;
+        }
+      }
+    }
+    // Pushes one candidate already within the cap; false when the full
+    // heap keeps its worst.
+    bool admit(const T* item, double distance) {
       if (heap.size() < n) {
         heap.push({item, distance});
-        return;
+        return true;
       }
       const Neighbor<T>& worst = heap.top();
       bool better;
@@ -355,6 +379,7 @@ class DynamicVpTree {
         heap.pop();
         heap.push({item, distance});
       }
+      return better;
     }
   };
 

@@ -264,6 +264,19 @@ class WindowArena {
     decode_pinned(slot, out);
   }
 
+  // True when row `slot` holds exactly `window`. Heap rows compare in
+  // place; spilled rows are copied under the store lock.
+  bool row_equals(std::uint32_t slot, seq::CodeSpan window) const {
+    if (window.size() != window_length_) return false;
+    if (store_ == nullptr && packed_bits_ == 0) {
+      return std::memcmp(row_data(slot), window.data(), window.size()) == 0;
+    }
+    thread_local std::vector<seq::Code> codes;
+    codes.resize(window_length_);
+    copy_row(slot, codes.data());
+    return std::memcmp(codes.data(), window.data(), window.size()) == 0;
+  }
+
   // Layout-contract check for audits: base alignment and row padding
   // geometry (content-level padding is row_roundtrip_ok()).
   bool layout_ok() const {

@@ -3,9 +3,14 @@
 // deterministic SimTransport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/error.h"
@@ -18,6 +23,21 @@
 #include "src/workload/generator.h"
 
 namespace mendel::core {
+
+// Seeds bookkeeping corruptions the node's own paths never produce, so the
+// audit's detection of them can be tested.
+struct StorageNodeTestPeer {
+  // A dedup key no stored block backs.
+  static void add_stray_key(StorageNode& node, std::uint64_t key) {
+    node.block_keys_.insert(key);
+  }
+  // A posting filed under `slot` whose key the dedup set lacks.
+  static void add_unkeyed_posting(StorageNode& node, seq::SequenceId sequence,
+                                  std::uint32_t start, std::uint32_t slot) {
+    node.postings_.add(slot, {sequence, start, slot});
+  }
+};
+
 namespace {
 
 // A tiny single-group cluster whose internals the tests can poke directly.
@@ -547,8 +567,9 @@ TEST(StorageNode, SpilledAndResidentNodesAgreeAfterEveryInsertBatch) {
   config.database_residues = store.total_residues();
   config.nn_cache_capacity = 0;  // every round searches the tree
   auto spill_config = config;
-  // About three quarters of the ~56 KB of packed rows stay resident.
-  spill_config.arena_resident_budget = 12 * 4096;
+  // About two thirds of the ~48 KB of packed rows (one per distinct
+  // window) stay resident.
+  spill_config.arena_resident_budget = 8 * 4096;
   spill_config.arena_segment_bytes = 4096;
   SoloNode resident(config);
   SoloNode spilled(spill_config);
@@ -603,6 +624,395 @@ TEST(StorageNode, SpilledAndResidentNodesAgreeAfterEveryInsertBatch) {
   EXPECT_GT(spilled.node.arena_stats().store.evictions, 0u)
       << "the budget never forced an eviction";
   EXPECT_EQ(spilled.snapshot(), resident.snapshot());
+}
+
+// ---------- distinct windows and postings ----------
+
+// Low-complexity DNA where 8-mer windows repeat heavily: poly-A runs,
+// dinucleotide and pentanucleotide repeats, and random sequence around a
+// poly-A core, each with a few substitutions so near-duplicates sit one or
+// two mismatches from the repeated windows.
+seq::SequenceStore low_complexity_store() {
+  seq::SequenceStore store(seq::Alphabet::kDna);
+  Rng rng(0x10C0);
+  const std::string bases = "ACGT";
+  for (std::size_t i = 0; i < 24; ++i) {
+    std::string s;
+    switch (i % 4) {
+      case 0:
+        s.assign(60 + 7 * i, 'A');
+        break;
+      case 1:
+        for (std::size_t j = 0; j < 40 + i; ++j) s += "AC";
+        break;
+      case 2:
+        for (std::size_t j = 0; j < 20 + i; ++j) s += "AAGAT";
+        break;
+      default:
+        for (std::size_t j = 0; j < 40; ++j) s += bases[rng.below(4)];
+        s += std::string(24, 'A');
+        for (std::size_t j = 0; j < 40; ++j) s += bases[rng.below(4)];
+    }
+    for (int m = 0; m < 3; ++m) s[rng.below(s.size())] = bases[rng.below(4)];
+    store.add(seq::Sequence(seq::Alphabet::kDna, "lc" + std::to_string(i),
+                            seq::encode_string(seq::Alphabet::kDna, s)));
+  }
+  return store;
+}
+
+// A one-node DNA shard over low_complexity_store(): every block routes to
+// node 0, so the audit's placement checks hold.
+struct DnaShard {
+  static constexpr std::size_t kWindow = 8;
+  seq::SequenceStore store = low_complexity_store();
+  cluster::Topology topology{{.num_groups = 1, .nodes_per_group = 1}};
+  const score::DistanceMatrix& distance =
+      score::default_distance(seq::Alphabet::kDna);
+  vpt::VpPrefixTree prefix_tree = build_tree();
+  std::vector<Block> blocks;
+
+  vpt::VpPrefixTree build_tree() {
+    IndexingOptions iopt;
+    iopt.window_length = kWindow;
+    iopt.sample_size = 256;
+    const Indexer indexer(&topology, &distance, iopt);
+    return indexer.build_prefix_tree(store, {.cutoff_depth = 2});
+  }
+
+  DnaShard() {
+    topology.bind_prefixes(prefix_tree.leaf_prefixes());
+    for (const auto& sequence : store) {
+      for (Block& block : make_blocks(sequence, kWindow)) {
+        blocks.push_back(std::move(block));
+      }
+    }
+    // Admission order decides which block stands for a repeated window;
+    // shuffle it so that block is rarely the window's smallest.
+    Rng rng(0x5AFF1E);
+    for (std::size_t i = blocks.size(); i > 1; --i) {
+      std::swap(blocks[i - 1], blocks[rng.below(i)]);
+    }
+  }
+
+  StorageNodeConfig config() const {
+    StorageNodeConfig c;
+    c.topology = &topology;
+    c.prefix_tree = &prefix_tree;
+    c.distance = &distance;
+    c.alphabet = seq::Alphabet::kDna;
+    c.database_residues = store.total_residues();
+    return c;
+  }
+
+  // Batch b of `batches`, interleaved over the shuffled blocks.
+  std::vector<std::uint8_t> batch(std::size_t b, std::size_t batches) const {
+    InsertBlocksPayload payload;
+    for (std::size_t i = b; i < blocks.size(); i += batches) {
+      payload.blocks.push_back(blocks[i]);
+    }
+    return encode_payload(payload);
+  }
+
+  // Probe windows around the repeated content plus random ones.
+  std::vector<vpt::Window> probes() const {
+    std::vector<vpt::Window> out;
+    for (const char* text : {"AAAAAAAA", "AAAAGAAA", "ACACACAC", "CACACACA",
+                             "AAGATAAG", "GATAAGAT", "ACGTACGT", "TTTTTTTT"}) {
+      out.push_back(seq::encode_string(seq::Alphabet::kDna, text));
+    }
+    Rng rng(0x9809E);
+    for (int i = 0; i < 8; ++i) {
+      vpt::Window w = blocks[rng.below(blocks.size())].window;
+      w[rng.below(w.size())] = static_cast<seq::Code>(rng.below(4));
+      out.push_back(std::move(w));
+    }
+    return out;
+  }
+};
+
+// One node_search request over `probes` with every filter open, so the
+// reply is the raw n-NN list of each probe: (sequence, start) per seed,
+// split by subquery.
+using Hit = std::pair<seq::SequenceId, std::uint32_t>;
+std::vector<std::vector<Hit>> node_nn(SoloNode& solo,
+                                      const std::vector<vpt::Window>& probes,
+                                      std::uint32_t n) {
+  NodeSearchPayload search;
+  search.params.matrix = "DNA";
+  search.params.n = n;
+  search.params.identity = 0.0;
+  search.params.c_score = std::numeric_limits<double>::lowest();
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    search.subqueries.push_back({static_cast<std::uint32_t>(i), probes[i]});
+  }
+  const auto bytes = solo.deliver(kNodeSearch, encode_payload(search));
+  EXPECT_FALSE(bytes.empty());
+  const auto reply = decode_payload<NodeSearchResultPayload>(bytes);
+  std::vector<std::vector<Hit>> out(probes.size());
+  for (const Seed& seed : reply.seeds) {
+    out.at(seed.query_offset).emplace_back(seed.sequence, seed.subject_start);
+  }
+  return out;
+}
+
+// Brute force over every block: the n smallest under (distance, sequence,
+// start). `straddles` counts probes whose n-th neighbor ties the next
+// block on distance, i.e. where the tie order picks the boundary.
+std::vector<Hit> brute_force_nn(const std::vector<Block>& blocks,
+                                const score::DistanceMatrix& distance,
+                                const vpt::Window& probe, std::size_t n,
+                                std::size_t& straddles) {
+  std::vector<std::tuple<double, seq::SequenceId, std::uint32_t>> all;
+  all.reserve(blocks.size());
+  for (const Block& block : blocks) {
+    all.emplace_back(score::window_distance(distance, probe, block.window),
+                     block.sequence, block.start);
+  }
+  std::sort(all.begin(), all.end());
+  if (n < all.size() && std::get<0>(all[n - 1]) == std::get<0>(all[n])) {
+    ++straddles;
+  }
+  std::vector<Hit> out;
+  for (std::size_t i = 0; i < std::min(n, all.size()); ++i) {
+    out.emplace_back(std::get<1>(all[i]), std::get<2>(all[i]));
+  }
+  return out;
+}
+
+// A node indexes each distinct window once, yet its n-NN lists must equal
+// a brute-force oracle over every block — including where distance ties
+// straddle the n-th neighbor, which only the (sequence, start) order over
+// postings can settle — after every insert batch, resident and spilled.
+TEST(StorageNode, DuplicateHeavyDnaMatchesBruteForceOracle) {
+  const DnaShard shard;
+  auto config = shard.config();
+  config.nn_cache_capacity = 0;  // every round searches the tree
+  auto spill_config = config;
+  spill_config.arena_resident_budget = 4096;
+  spill_config.arena_segment_bytes = 4096;
+  SoloNode resident(config);
+  SoloNode spilled(spill_config);
+  const auto probes = shard.probes();
+
+  const std::size_t batches = 4;
+  std::size_t straddles = 0;
+  for (std::size_t b = 0; b < batches; ++b) {
+    resident.deliver(kInsertBlocks, shard.batch(b, batches));
+    spilled.deliver(kInsertBlocks, shard.batch(b, batches));
+    std::vector<Block> stored;
+    for (std::size_t i = 0; i < shard.blocks.size(); ++i) {
+      if (i % batches <= b) stored.push_back(shard.blocks[i]);
+    }
+    for (const std::uint32_t n : {1u, 3u, 8u, 17u, 40u, 150u}) {
+      const auto want_resident = node_nn(resident, probes, n);
+      const auto want_spilled = node_nn(spilled, probes, n);
+      for (std::size_t p = 0; p < probes.size(); ++p) {
+        const auto oracle =
+            brute_force_nn(stored, shard.distance, probes[p], n, straddles);
+        EXPECT_EQ(want_resident[p], oracle)
+            << "resident, batch " << b << ", n " << n << ", probe " << p;
+        EXPECT_EQ(want_spilled[p], oracle)
+            << "spilled, batch " << b << ", n " << n << ", probe " << p;
+      }
+    }
+    EXPECT_TRUE(resident.node.audit().empty())
+        << resident.node.audit().front();
+    EXPECT_TRUE(spilled.node.audit().empty()) << spilled.node.audit().front();
+  }
+  EXPECT_GT(straddles, 0u) << "no probe put a distance tie on the boundary";
+  ASSERT_EQ(resident.node.block_count(), shard.blocks.size());
+  EXPECT_EQ(resident.node.counters().blocks_inserted, shard.blocks.size());
+  // Heavy duplication is the point of the shard.
+  EXPECT_LT(resident.node.window_count() * 4, resident.node.block_count());
+  EXPECT_EQ(spilled.snapshot(), resident.snapshot());
+}
+
+// Regression: a batch whose blocks all repeat windows the node already
+// holds adds no tree item, but it still changes the n-NN answer when one
+// of its blocks wins a boundary tie. The NN cache must not serve the
+// stale seed list.
+TEST(StorageNode, PostingOnlyBatchInvalidatesNnCache) {
+  const DnaShard shard;
+  SoloNode solo(shard.config());
+  auto block = [](seq::SequenceId sequence, std::uint32_t start,
+                  const char* window) {
+    return Block{sequence, start,
+                 seq::encode_string(seq::Alphabet::kDna, window)};
+  };
+  InsertBlocksPayload first;
+  first.blocks = {block(10, 0, "ACGTACGT"), block(10, 20, "ACGTACGA"),
+                  block(11, 0, "ACGTACGA"), block(12, 0, "TTTTTTTT")};
+  solo.deliver(kInsertBlocks, encode_payload(first));
+  const std::vector<vpt::Window> probe = {
+      seq::encode_string(seq::Alphabet::kDna, "ACGTACGT")};
+  // n = 2: the exact block, then the first of the two one-mismatch blocks
+  // in (sequence, start) order.
+  const std::vector<Hit> before = {{10, 0}, {10, 20}};
+  EXPECT_EQ(node_nn(solo, probe, 2)[0], before);
+  EXPECT_EQ(node_nn(solo, probe, 2)[0], before);  // now from the cache
+  EXPECT_EQ(solo.node.counters().nn_cache_hits, 1u);
+  const std::size_t windows = solo.node.window_count();
+
+  InsertBlocksPayload second;
+  second.blocks = {block(3, 5, "ACGTACGA"), block(13, 0, "TTTTTTTT")};
+  solo.deliver(kInsertBlocks, encode_payload(second));
+  EXPECT_EQ(solo.node.window_count(), windows) << "no window was new";
+  EXPECT_EQ(solo.node.block_count(), 6u);
+  EXPECT_EQ(solo.node.nn_cache_entries(), 0u);
+  const std::vector<Hit> after = {{10, 0}, {3, 5}};
+  EXPECT_EQ(node_nn(solo, probe, 2)[0], after);
+  EXPECT_TRUE(solo.node.audit().empty()) << solo.node.audit().front();
+}
+
+// Snapshots hold one row per block in (sequence, start) order: a node
+// restored from one saves the same bytes and answers the same n-NN lists,
+// and a snapshot in any other block order — as earlier versions wrote
+// them, in arena-slot order — loads to the same node.
+TEST(StorageNode, DuplicateHeavySnapshotRoundTrip) {
+  const DnaShard shard;
+  auto config = shard.config();
+  config.nn_cache_capacity = 0;
+  SoloNode original(config);
+  for (std::size_t b = 0; b < 3; ++b) {
+    original.deliver(kInsertBlocks, shard.batch(b, 3));
+  }
+  const auto snapshot = original.snapshot();
+  const auto probes = shard.probes();
+  const auto want = node_nn(original, probes, 17);
+
+  SoloNode restored(config);
+  CodecReader reader(snapshot);
+  restored.node.load(reader);
+  EXPECT_EQ(restored.node.block_count(), original.node.block_count());
+  EXPECT_EQ(restored.node.window_count(), original.node.window_count());
+  EXPECT_EQ(restored.node.counters().blocks_restored, shard.blocks.size());
+  EXPECT_EQ(restored.snapshot(), snapshot);
+  EXPECT_EQ(node_nn(restored, probes, 17), want);
+  EXPECT_TRUE(restored.node.audit().empty()) << restored.node.audit().front();
+
+  // The same blocks in admission order, one 2-bit row each.
+  CodecWriter legacy;
+  legacy.str("mendel-node-v2");
+  legacy.u32(0);
+  legacy.u32(DnaShard::kWindow);
+  legacy.u8(2);
+  legacy.u32(static_cast<std::uint32_t>(shard.blocks.size()));
+  for (const Block& block : shard.blocks) {
+    legacy.u32(block.sequence);
+    legacy.u32(block.start);
+  }
+  const std::size_t row_bytes =
+      vpt::WindowArena::payload_bytes(DnaShard::kWindow, 2);
+  legacy.u64(shard.blocks.size() * row_bytes);
+  std::vector<std::uint8_t> row(row_bytes);
+  for (const Block& block : shard.blocks) {
+    vpt::WindowArena::encode_row_to(row.data(), block.window, 2);
+    legacy.raw(std::span<const std::uint8_t>(row.data(), row.size()));
+  }
+  legacy.u32(0);  // no stored sequences
+  SoloNode from_legacy(config);
+  CodecReader legacy_reader(legacy.data());
+  from_legacy.node.load(legacy_reader);
+  EXPECT_EQ(from_legacy.snapshot(), snapshot);
+  EXPECT_EQ(node_nn(from_legacy, probes, 17), want);
+}
+
+// Rebalance moves blocks, not windows: ownership hashes each block's
+// identity, so one repeated window's postings split across the group's
+// new owners. Nothing is lost or duplicated and ranked hits are unchanged.
+TEST(StorageNode, RebalanceSplitsOneWindowsPostingsAcrossOwners) {
+  const auto store = low_complexity_store();
+  ClientOptions options;
+  options.topology.num_groups = 1;
+  options.topology.nodes_per_group = 1;
+  options.indexing.window_length = DnaShard::kWindow;
+  options.indexing.sample_size = 256;
+  options.prefix_tree.cutoff_depth = 2;
+  options.cost.measured_cpu = false;
+  Client client(options);
+  client.index(store);
+  // The dedup ratio is readable from the metrics: blocks against windows.
+  const auto metrics = client.metrics();
+  EXPECT_EQ(metrics.gauge("arena.windows"),
+            static_cast<std::int64_t>(client.node(0).window_count()));
+  EXPECT_EQ(metrics.counter("node.blocks_inserted"),
+            client.node(0).block_count());
+  EXPECT_LT(client.node(0).window_count() * 4, client.node(0).block_count());
+
+  QueryParams params;
+  params.matrix = "DNA";
+  params.identity = 0.6;
+  params.c_score = 0.4;
+  std::vector<seq::Sequence> queries;
+  for (const seq::SequenceId donor : {1u, 3u, 6u}) {
+    const auto window = store.at(donor).window(10, 60);
+    queries.emplace_back(store.alphabet(), "probe",
+                         std::vector<seq::Code>(window.begin(), window.end()));
+  }
+  std::vector<QueryOutcome> before;
+  for (const auto& query : queries) {
+    before.push_back(client.query(query, params));
+  }
+  const std::size_t total = client.node(0).block_count();
+
+  const net::NodeId added = client.add_node(0);
+  // Which nodes now hold each window's postings.
+  std::map<vpt::Window, std::set<net::NodeId>> holders;
+  std::set<Hit> stored;
+  for (const net::NodeId id : {net::NodeId{0}, added}) {
+    EXPECT_TRUE(client.node(id).audit().empty())
+        << client.node(id).audit().front();
+    EXPECT_GT(client.node(id).block_count(), 0u) << "node " << id;
+    for (const Block& block : client.node(id).blocks()) {
+      holders[block.window].insert(id);
+      EXPECT_TRUE(stored.emplace(block.sequence, block.start).second)
+          << "block (" << block.sequence << ", " << block.start
+          << ") stored twice";
+    }
+  }
+  EXPECT_EQ(stored.size(), total);
+  const auto poly_a = seq::encode_string(seq::Alphabet::kDna, "AAAAAAAA");
+  EXPECT_EQ(holders[poly_a].size(), 2u)
+      << "the poly-A window's postings did not split";
+
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const auto after = client.query(queries[q], params);
+    ASSERT_EQ(after.hits.size(), before[q].hits.size()) << "query " << q;
+    for (std::size_t i = 0; i < after.hits.size(); ++i) {
+      EXPECT_EQ(after.hits[i].subject_id, before[q].hits[i].subject_id);
+      EXPECT_EQ(after.hits[i].alignment.hsp.score,
+                before[q].hits[i].alignment.hsp.score);
+      EXPECT_EQ(after.hits[i].alignment.cigar,
+                before[q].hits[i].alignment.cigar);
+    }
+  }
+}
+
+// The audit's posting count must equal the dedup key set: a stray key, or
+// a posting the key set lacks, is reported.
+TEST(StorageNode, AuditFlagsPostingKeyMismatch) {
+  const DnaShard shard;
+  SoloNode solo(shard.config());
+  solo.deliver(kInsertBlocks, shard.batch(0, 1));
+  ASSERT_TRUE(solo.node.audit().empty()) << solo.node.audit().front();
+  auto mentions = [](const std::vector<std::string>& violations,
+                     const std::string& what) {
+    return std::any_of(violations.begin(), violations.end(),
+                       [&](const std::string& v) {
+                         return v.find(what) != std::string::npos;
+                       });
+  };
+
+  SoloNode stray(shard.config());
+  stray.deliver(kInsertBlocks, shard.batch(0, 1));
+  StorageNodeTestPeer::add_stray_key(stray.node, 0xfffffffe00000000ULL);
+  EXPECT_TRUE(mentions(stray.node.audit(), "block postings but the dedup "
+                                           "key set holds"));
+
+  StorageNodeTestPeer::add_unkeyed_posting(solo.node, 0xfffffffe, 0, 0);
+  const auto violations = solo.node.audit();
+  EXPECT_TRUE(mentions(violations, "block postings but the dedup key set"));
+  EXPECT_TRUE(mentions(violations, "missing from the dedup key set"));
 }
 
 TEST(StorageNode, DownNodesExcludedFromFanOut) {
