@@ -18,7 +18,6 @@
 #include "src/align/banded.h"
 #include "src/align/smith_waterman.h"
 #include "src/align/ungapped.h"
-#include "src/align/xdrop.h"
 #include "src/hash/sha1.h"
 #include "src/mendel/block.h"
 #include "src/mendel/client.h"
@@ -79,27 +78,6 @@ void BM_SmithWatermanFull(benchmark::State& state) {
                           static_cast<std::int64_t>(n * n));
 }
 BENCHMARK(BM_SmithWatermanFull)->Arg(200)->Arg(500);
-
-// Ablation: fixed-band DP (the paper's Table I parameter l) vs the
-// adaptive X-drop DP Gapped BLAST uses. Same homologous pair, anchored at
-// its centre.
-void BM_XDropGapped(benchmark::State& state) {
-  Rng rng(11);
-  const auto base = protein(1000, 12);
-  const auto homolog = workload::mutate(base, {0.25, 0.02, 0.4}, "h", rng);
-  const int x = static_cast<int>(state.range(0));
-  int score = 0;
-  for (auto _ : state) {
-    const auto hsp = align::xdrop_gapped_extend(
-        base.codes(), homolog.codes(), 500, 500, score::blosum62(),
-        score::blosum62().default_gaps(), {x});
-    score = hsp.score;
-    benchmark::DoNotOptimize(hsp.score);
-  }
-  state.SetLabel("x=" + std::to_string(x) + " score=" +
-                 std::to_string(score));
-}
-BENCHMARK(BM_XDropGapped)->Arg(10)->Arg(40)->Arg(160);
 
 void BM_Sha1Block(benchmark::State& state) {
   const auto s = protein(static_cast<std::size_t>(state.range(0)), 7);

@@ -1,10 +1,9 @@
 // Microbenchmarks for the vp-tree layer (google-benchmark).
 //
 // Covers the paper's §III-D design choices:
-//   * bucket size vs build and search cost,
 //   * batched rebalancing insertion vs naive split-in-place insertion
 //     (the pathology the paper warns about),
-//   * n-NN search cost vs tree size (the O(log n) claim),
+//   * n-NN search cost after correlated (adversarial) insertion,
 //   * vp-prefix hash throughput (the tier-1 routing cost).
 #include <benchmark/benchmark.h>
 
@@ -15,7 +14,6 @@
 #include "src/scoring/distance.h"
 #include "src/vptree/dynamic_vptree.h"
 #include "src/vptree/prefix_tree.h"
-#include "src/vptree/vptree.h"
 #include "src/workload/generator.h"
 
 namespace {
@@ -62,44 +60,6 @@ std::vector<vpt::Window> make_windows(std::size_t count, std::uint64_t seed) {
 const score::DistanceMatrix& dist() {
   return score::default_distance(seq::Alphabet::kProtein);
 }
-
-void BM_VpTreeBuild(benchmark::State& state) {
-  const auto windows = make_windows(static_cast<std::size_t>(state.range(0)),
-                                    42);
-  for (auto _ : state) {
-    vpt::VpTree<vpt::Window, WindowMetric> tree(
-        WindowMetric{&dist()},
-        {.bucket_capacity = static_cast<std::size_t>(state.range(1))});
-    tree.build(windows);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_VpTreeBuild)
-    ->Args({2000, 8})
-    ->Args({2000, 32})
-    ->Args({2000, 128})
-    ->Args({20000, 32});
-
-void BM_VpTreeKnnSearch(benchmark::State& state) {
-  const auto windows = make_windows(static_cast<std::size_t>(state.range(0)),
-                                    43);
-  auto evals = std::make_shared<std::uint64_t>(0);
-  vpt::VpTree<vpt::Window, CountingMetric> tree(CountingMetric{&dist(), evals},
-                                                {.bucket_capacity = 32});
-  tree.build(windows);
-  const auto probes = make_windows(64, 44);
-  std::size_t p = 0;
-  *evals = 0;  // drop the build-phase evaluations
-  for (auto _ : state) {
-    const auto neighbors = tree.nearest(probes[p++ % probes.size()], 16);
-    benchmark::DoNotOptimize(neighbors.size());
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["dist_evals"] = benchmark::Counter(
-      static_cast<double>(*evals), benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_VpTreeKnnSearch)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_DynamicInsertBalanced(benchmark::State& state) {
   const auto windows = make_windows(static_cast<std::size_t>(state.range(0)),

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "src/cluster/telemetry.h"
+#include "src/common/byte_size.h"
 #include "src/common/error.h"
 #include "src/hash/sha1.h"
 #include "src/mendel/protocol.h"
@@ -21,18 +22,7 @@ namespace {
 std::size_t arena_budget_from_env(std::size_t fallback) {
   const char* env = std::getenv("MENDEL_ARENA_BUDGET");
   if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(env, &end, 10);
-  if (end == env) return fallback;
-  std::size_t scale = 1;
-  switch (*end) {
-    case '\0': break;
-    case 'k': case 'K': scale = 1024ull; break;
-    case 'm': case 'M': scale = 1024ull * 1024; break;
-    case 'g': case 'G': scale = 1024ull * 1024 * 1024; break;
-    default: return fallback;
-  }
-  return static_cast<std::size_t>(value) * scale;
+  return parse_byte_size(env).value_or(fallback);
 }
 
 }  // namespace
@@ -49,11 +39,7 @@ Client::Client(ClientOptions options)
   transport_config.cost = options_.cost;
   transport_config.schedule_seed = options_.runtime.schedule_seed;
   transport_config.socket = options_.runtime.socket;
-  transport_owner_ = net::make_transport(transport_config);
-  transport_ = transport_owner_.get();
-  sim_ = dynamic_cast<net::SimTransport*>(transport_);
-  threaded_ = dynamic_cast<net::ThreadTransport*>(transport_);
-  socket_ = dynamic_cast<net::SocketTransport*>(transport_);
+  transport_ = net::make_transport(transport_config);
   if (options_.runtime.search_threads > 0) {
     search_pool_ =
         std::make_unique<ThreadPool>(options_.runtime.search_threads);
@@ -111,11 +97,28 @@ Client::Client(ClientOptions options)
 }
 
 Client::~Client() {
-  // The threaded workers reference the storage nodes; stop them before the
-  // nodes_ vector is destroyed. The socket dispatch threads reference the
-  // client actor, so they too stop before members go away.
-  if (threaded_ && started_) threaded_->drain_and_stop();
-  if (socket_) socket_->stop();
+  // Worker and dispatch threads reference the storage nodes and the client
+  // actor; stop them before those members are destroyed.
+  transport_->stop();
+}
+
+StorageNodeConfig Client::node_config() {
+  StorageNodeConfig config;
+  config.topology = topology_.get();
+  config.prefix_tree = prefix_tree_.get();
+  config.distance = distance_.get();
+  config.alphabet = alphabet_;
+  config.bucket_capacity = options_.bucket_capacity;
+  config.database_residues = database_residues_;
+  config.search_pool = search_pool_.get();
+  config.nn_cache_capacity = options_.runtime.nn_cache_capacity;
+  config.metrics = options_.runtime.enable_metrics ? &registry_ : nullptr;
+  config.trace_buffer_capacity = options_.runtime.trace_buffer_capacity;
+  config.arena_resident_budget = options_.runtime.arena_resident_budget;
+  config.arena_packing = options_.runtime.arena_packing;
+  config.arena_segment_bytes = options_.runtime.arena_segment_bytes;
+  config.prune_extensions = options_.runtime.prune_extensions;
+  return config;
 }
 
 void Client::spawn_nodes(seq::Alphabet alphabet) {
@@ -124,69 +127,49 @@ void Client::spawn_nodes(seq::Alphabet alphabet) {
   // prefix tree captures its address; it must never be reallocated here.
   require(distance_ != nullptr, "spawn_nodes: distance matrix not set");
 
-  if (socket_) {
-    // The nodes live in mendel-node daemons: start the transport (binds
-    // nothing locally, dials every endpoint), broadcast the cluster
-    // description, and barrier so indexing only starts against
-    // fully-constructed remote nodes.
-    require(options_.runtime.socket.endpoints.size() >=
-                topology_->total_nodes(),
-            "spawn_nodes: socket mode needs an endpoint per node "
-            "(RuntimeOptions::socket.endpoints or MENDEL_ENDPOINTS)");
-    socket_->start();
-    started_ = true;
-    const auto payload = encode_payload(make_node_init());
+  if (hosts_nodes()) {
+    const StorageNodeConfig config = node_config();
+    nodes_.reserve(topology_->total_nodes());
     for (net::NodeId id = 0; id < topology_->total_nodes(); ++id) {
-      net::Message message;
-      message.from = net::kClientNode;
-      message.to = id;
-      message.type = kNodeInit;
-      message.request_id = 0;
-      message.payload = payload;
-      transport_->send(std::move(message));
+      nodes_.push_back(std::make_unique<StorageNode>(id, config));
+      transport_->register_actor(id, nodes_.back().get());
     }
-    settle();
+    transport_->start();
     return;
   }
-
-  StorageNodeConfig node_config;
-  node_config.topology = topology_.get();
-  node_config.prefix_tree = prefix_tree_.get();
-  node_config.distance = distance_.get();
-  node_config.alphabet = alphabet;
-  node_config.bucket_capacity = options_.bucket_capacity;
-  node_config.search_pool = search_pool_.get();
-  node_config.nn_cache_capacity = options_.runtime.nn_cache_capacity;
-  node_config.metrics =
-      options_.runtime.enable_metrics ? &registry_ : nullptr;
-  node_config.trace_buffer_capacity = options_.runtime.trace_buffer_capacity;
-  node_config.arena_resident_budget = options_.runtime.arena_resident_budget;
-  node_config.arena_packing = options_.runtime.arena_packing;
-  node_config.arena_segment_bytes = options_.runtime.arena_segment_bytes;
-  node_config.prune_extensions = options_.runtime.prune_extensions;
-
-  nodes_.reserve(topology_->total_nodes());
+  // The nodes live in mendel-node daemons: start the transport (binds
+  // nothing locally, dials every endpoint), broadcast the cluster
+  // description, and settle so indexing only starts against
+  // fully-constructed remote nodes.
+  require(options_.runtime.socket.endpoints.size() >= topology_->total_nodes(),
+          "spawn_nodes: socket mode needs an endpoint per node "
+          "(RuntimeOptions::socket.endpoints or MENDEL_ENDPOINTS)");
+  transport_->start();
+  const auto payload = encode_payload(make_node_init());
   for (net::NodeId id = 0; id < topology_->total_nodes(); ++id) {
-    nodes_.push_back(std::make_unique<StorageNode>(id, node_config));
-    transport_->register_actor(id, nodes_.back().get());
+    send_to(id, kNodeInit, 0, payload);
   }
-  if (threaded_) {
-    threaded_->start();
-    started_ = true;
-  }
+  settle();
 }
 
-double Client::settle() {
-  if (sim_) return sim_->run_until_idle();
-  if (threaded_) {
-    threaded_->wait_idle();
-    return 0.0;
-  }
-  settle_socket();
-  return 0.0;
+void Client::send_to(net::NodeId to, std::uint32_t type,
+                     std::uint64_t request_id,
+                     std::vector<std::uint8_t> payload) {
+  net::Message message;
+  message.from = net::kClientNode;
+  message.to = to;
+  message.type = type;
+  message.request_id = request_id;
+  message.payload = std::move(payload);
+  transport_->send(std::move(message));
 }
 
-void Client::settle_socket() {
+void Client::settle() {
+  if (!transport_->quiesce()) barrier_round();
+}
+
+void Client::barrier_round() {
+  if (topology_ == nullptr) return;  // no nodes yet
   std::vector<net::NodeId> targets;
   for (net::NodeId id = 0; id < topology_->total_nodes(); ++id) {
     if (!transport_down(id)) targets.push_back(id);
@@ -199,19 +182,11 @@ void Client::settle_socket() {
     barrier_id_ = barrier_id;
     barrier_outstanding_ = targets.size();
   }
-  for (net::NodeId id : targets) {
-    net::Message message;
-    message.from = net::kClientNode;
-    message.to = id;
-    message.type = kBarrier;
-    message.request_id = barrier_id;
-    transport_->send(std::move(message));
-  }
+  for (net::NodeId id : targets) send_to(id, kBarrier, barrier_id);
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(
-              options_.runtime.socket.settle_timeout));
+          std::chrono::duration<double>(options_.runtime.settle_timeout));
   std::unique_lock lock(barrier_mu_);
   while (barrier_outstanding_ > 0) {
     if (barrier_cv_.wait_until(lock, deadline) ==
@@ -223,13 +198,6 @@ void Client::settle_socket() {
     }
   }
   barrier_id_ = 0;
-}
-
-double Client::now_seconds() const {
-  if (sim_) return sim_->external_time();
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 bool Client::transport_down(net::NodeId id) const {
@@ -244,26 +212,9 @@ net::FaultInjector& Client::fault_injector() const {
 }
 
 void Client::propagate_residues() {
-  if (socket_) {
-    // Remote nodes learn the E-value denominator by message.
-    SetResiduesPayload payload;
-    payload.residues = database_residues_;
-    const auto bytes = encode_payload(payload);
-    for (net::NodeId id = 0; id < topology_->total_nodes(); ++id) {
-      if (transport_down(id)) continue;
-      net::Message message;
-      message.from = net::kClientNode;
-      message.to = id;
-      message.type = kSetResidues;
-      message.request_id = 0;
-      message.payload = bytes;
-      transport_->send(std::move(message));
-    }
-    settle();
-    return;
-  }
-  for (auto& node : nodes_) {
-    node->set_database_residues(database_residues_);
+  const auto payload = encode_payload(SetResiduesPayload{database_residues_});
+  for (net::NodeId id = 0; id < topology_->total_nodes(); ++id) {
+    if (!transport_down(id)) send_to(id, kSetResidues, 0, payload);
   }
 }
 
@@ -313,10 +264,9 @@ IndexReport Client::index(const seq::SequenceStore& store) {
   Indexer indexer(topology_.get(), distance_.get(), options_.indexing);
   const IndexReport report = indexer.index_store(
       store, *prefix_tree_, *transport_, net::kClientNode);
-  settle();
-
   database_residues_ = store.total_residues();
   propagate_residues();
+  settle();
   next_sequence_id_ = static_cast<seq::SequenceId>(store.size());
   indexed_ = true;
   publish_load_gauges();
@@ -333,51 +283,28 @@ seq::SequenceId Client::add_sequences(const seq::SequenceStore& more) {
   Indexer indexer(topology_.get(), distance_.get(), options_.indexing);
   indexer.index_store(more, *prefix_tree_, *transport_, net::kClientNode,
                       base);
-  settle();
-
   next_sequence_id_ += static_cast<seq::SequenceId>(more.size());
   database_residues_ += more.total_residues();
   propagate_residues();
+  settle();
   publish_load_gauges();
   return base;
 }
 
 net::NodeId Client::add_node(std::uint32_t group) {
   require(indexed_, "Client::add_node before index()/load_index()");
-  require(sim_ != nullptr,
+  require(options_.runtime.transport_mode == TransportMode::kSim,
           "Client::add_node: elastic scale-out requires TransportMode::kSim "
           "(the threaded runtime pins its worker set at start())");
   const net::NodeId id = topology_->add_node(group);
-
-  StorageNodeConfig node_config;
-  node_config.topology = topology_.get();
-  node_config.prefix_tree = prefix_tree_.get();
-  node_config.distance = distance_.get();
-  node_config.alphabet = alphabet_;
-  node_config.bucket_capacity = options_.bucket_capacity;
-  node_config.database_residues = database_residues_;
-  node_config.search_pool = search_pool_.get();
-  node_config.nn_cache_capacity = options_.runtime.nn_cache_capacity;
-  node_config.metrics =
-      options_.runtime.enable_metrics ? &registry_ : nullptr;
-  node_config.trace_buffer_capacity = options_.runtime.trace_buffer_capacity;
-  node_config.arena_resident_budget = options_.runtime.arena_resident_budget;
-  node_config.arena_packing = options_.runtime.arena_packing;
-  node_config.arena_segment_bytes = options_.runtime.arena_segment_bytes;
-  node_config.prune_extensions = options_.runtime.prune_extensions;
-  nodes_.push_back(std::make_unique<StorageNode>(id, node_config));
+  nodes_.push_back(std::make_unique<StorageNode>(id, node_config()));
   transport_->register_actor(id, nodes_.back().get());
 
   // Every pre-existing node re-evaluates ownership; blocks and sequences
   // the newcomer now owns flow to it (consistent hashing moves only the
   // remapped slice).
   for (net::NodeId existing = 0; existing < id; ++existing) {
-    net::Message message;
-    message.from = net::kClientNode;
-    message.to = existing;
-    message.type = kRebalance;
-    message.request_id = 0;
-    transport_->send(std::move(message));
+    send_to(existing, kRebalance, 0);
   }
   settle();
   publish_load_gauges();
@@ -405,10 +332,7 @@ QueryTicket Client::submit(const seq::Sequence& query, QueryParams params) {
 
   QueryTicket ticket;
   ticket.id = query_id;
-  ticket.injected_at = now_seconds();
-  // Deprecated field, still populated for callers that diff against it;
-  // outcome.traffic itself now comes from per-query attribution.
-  ticket.traffic_before = transport_->stats();
+  ticket.injected_at = transport_->external_time();
 
   if (options_.runtime.enable_tracing) {
     const std::uint64_t submit_span =
@@ -424,13 +348,7 @@ QueryTicket Client::submit(const seq::Sequence& query, QueryParams params) {
   transport_->begin_query_stats(query_id);
   if (c_submitted_ != nullptr) c_submitted_->add();
 
-  net::Message message;
-  message.from = net::kClientNode;
-  message.to = entry;
-  message.type = kQueryRequest;
-  message.request_id = query_id;
-  message.payload = encode_payload(request);
-  transport_->send(std::move(message));
+  send_to(entry, kQueryRequest, query_id, encode_payload(request));
   return ticket;
 }
 
@@ -452,12 +370,7 @@ void Client::broadcast_cancel(std::uint64_t query_id) {
       deferred_cancels_[id].push_back(query_id);
       continue;
     }
-    net::Message cancel;
-    cancel.from = net::kClientNode;
-    cancel.to = id;
-    cancel.type = kCancelQuery;
-    cancel.request_id = query_id;
-    transport_->send(std::move(cancel));
+    send_to(id, kCancelQuery, query_id);
   }
 }
 
@@ -473,9 +386,8 @@ QueryOutcome Client::finish_outcome(const QueryTicket& ticket,
     // report the incomplete outcome instead of hanging or throwing.
     outcome.completed = false;
     broadcast_cancel(ticket.id);
-    const double horizon = settle();
-    outcome.turnaround =
-        (sim_ ? horizon : now_seconds()) - ticket.injected_at;
+    settle();
+    outcome.turnaround = transport_->external_time() - ticket.injected_at;
     // No reply means no client.reply span consumed the submit-span link.
     std::lock_guard lock(trace_mu_);
     submit_spans_.erase(ticket.id);
@@ -523,85 +435,40 @@ std::uint64_t Client::record_client_span(const char* name,
   return span_id;
 }
 
-QueryOutcome Client::wait_sim(const QueryTicket& ticket) {
-  // Drains every in-flight event (this ticket's and any other admitted
-  // query's); replies land in the table and later waits find them
-  // immediately. run_until_idle also advances the external clock to the
-  // drained horizon, so future injections start there.
-  sim_->run_until_idle();
-  return finish_outcome(ticket, take_reply(ticket.id));
-}
-
-QueryOutcome Client::wait_threaded(const QueryTicket& ticket) {
-  std::optional<Reply> reply;
-  for (;;) {
-    {
-      // Explicit re-check after a bounded wait (not a predicate lambda) so
-      // the thread-safety analysis can see replies_ accessed under the
-      // lock; the outer loop absorbs spurious wakeups and timeouts.
-      std::unique_lock lock(reply_mu_);
-      auto it = replies_.find(ticket.id);
-      if (it == replies_.end()) {
-        reply_cv_.wait_for(lock, std::chrono::milliseconds(2));
-        it = replies_.find(ticket.id);
-      }
-      if (it != replies_.end()) {
-        reply = std::move(it->second);
-        replies_.erase(it);
-        break;
-      }
-    }
-    // No reply yet. If the whole cluster is quiescent the dataflow cannot
-    // make further progress: the query stalled. (A reply may have raced in
-    // between the two checks; take_reply in finish_outcome would still
-    // miss it, so re-check under the lock first.)
-    if (threaded_->idle()) {
-      reply = take_reply(ticket.id);
-      break;
-    }
-  }
-  return finish_outcome(ticket, std::move(reply));
-}
-
-QueryOutcome Client::wait_socket(const QueryTicket& ticket) {
-  // No cluster-wide idle signal exists across processes, so the stall
-  // detector is a deadline: a reply missing past query_timeout means the
-  // dataflow lost a message (node death, dropped frame) and will not
-  // complete. finish_outcome then cancels cluster-side pending state.
+QueryOutcome Client::wait(const QueryTicket& ticket) {
+  // Re-checks the reply table at least this often, so an idle cluster is
+  // noticed promptly even though no reply will ever signal reply_cv_.
+  constexpr auto kStallPoll = std::chrono::milliseconds(2);
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(
-              options_.runtime.socket.query_timeout));
+          std::chrono::duration<double>(options_.runtime.query_timeout));
   std::optional<Reply> reply;
-  {
+  for (;;) {
+    reply = take_reply(ticket.id);
+    if (reply.has_value()) break;
+    // No reply yet. If the transport proves the cluster idle, the dataflow
+    // cannot make further progress: the query stalled. Under the simulator
+    // the probe is what runs the dataflow, so the reply usually lands
+    // during it; under threads a reply may race in between the two
+    // checks. Either way, look once more before declaring the stall. Past
+    // the deadline the query is declared stalled outright.
+    if (transport_->poll_idle() ||
+        std::chrono::steady_clock::now() >= deadline) {
+      reply = take_reply(ticket.id);
+      break;
+    }
+    // Explicit re-check under the lock (not a predicate lambda) so the
+    // thread-safety analysis sees replies_ accessed under reply_mu_; the
+    // outer loop absorbs spurious wakeups and poll timeouts.
     std::unique_lock lock(reply_mu_);
-    for (;;) {
-      auto it = replies_.find(ticket.id);
-      if (it != replies_.end()) {
-        reply = std::move(it->second);
-        replies_.erase(it);
-        break;
-      }
-      if (reply_cv_.wait_until(lock, deadline) ==
-          std::cv_status::timeout) {
-        // One final re-check: the reply may have raced the timeout.
-        it = replies_.find(ticket.id);
-        if (it != replies_.end()) {
-          reply = std::move(it->second);
-          replies_.erase(it);
-        }
-        break;
-      }
+    if (!replies_.contains(ticket.id)) {
+      reply_cv_.wait_until(
+          lock, std::min(deadline, std::chrono::steady_clock::now() +
+                                       kStallPoll));
     }
   }
   return finish_outcome(ticket, std::move(reply));
-}
-
-QueryOutcome Client::wait(const QueryTicket& ticket) {
-  if (sim_) return wait_sim(ticket);
-  if (threaded_) return wait_threaded(ticket);
-  return wait_socket(ticket);
 }
 
 QueryOutcome Client::query(const seq::Sequence& query, QueryParams params) {
@@ -629,50 +496,52 @@ obs::MetricsSnapshot Client::metrics() const {
 
   // NodeCounters stay plain per-node structs (no atomics on the node hot
   // paths); fold their cluster totals in as synthetic node.* entries.
-  const NodeCounters totals = total_counters();
-  add_counter("node.blocks_inserted", totals.blocks_inserted);
-  add_counter("node.sequences_stored", totals.sequences_stored);
-  add_counter("node.blocks_restored", totals.blocks_restored);
-  add_counter("node.sequences_restored", totals.sequences_restored);
-  add_counter("node.nn_searches", totals.nn_searches);
-  add_counter("node.nn_cache_hits", totals.nn_cache_hits);
-  add_counter("node.nn_cache_misses", totals.nn_cache_misses);
-  add_counter("node.seeds_emitted", totals.seeds_emitted);
-  add_counter("node.fetches_served", totals.fetches_served);
-  add_counter("node.group_queries", totals.group_queries);
-  add_counter("node.queries_coordinated", totals.queries_coordinated);
-  add_counter("node.anchors_extended", totals.anchors_extended);
-  add_counter("node.gapped_extensions", totals.gapped_extensions);
-  add_counter("node.fetch_ranges_coalesced", totals.fetch_ranges_coalesced);
-  add_counter("node.anchors_pruned", totals.anchors_pruned);
+  static constexpr std::pair<const char*, std::uint64_t NodeCounters::*>
+      kNodeCounters[] = {
+          {"node.blocks_inserted", &NodeCounters::blocks_inserted},
+          {"node.sequences_stored", &NodeCounters::sequences_stored},
+          {"node.blocks_restored", &NodeCounters::blocks_restored},
+          {"node.sequences_restored", &NodeCounters::sequences_restored},
+          {"node.nn_searches", &NodeCounters::nn_searches},
+          {"node.nn_cache_hits", &NodeCounters::nn_cache_hits},
+          {"node.nn_cache_misses", &NodeCounters::nn_cache_misses},
+          {"node.seeds_emitted", &NodeCounters::seeds_emitted},
+          {"node.fetches_served", &NodeCounters::fetches_served},
+          {"node.group_queries", &NodeCounters::group_queries},
+          {"node.queries_coordinated", &NodeCounters::queries_coordinated},
+          {"node.anchors_extended", &NodeCounters::anchors_extended},
+          {"node.gapped_extensions", &NodeCounters::gapped_extensions},
+          {"node.fetch_ranges_coalesced",
+           &NodeCounters::fetch_ranges_coalesced},
+          {"node.anchors_pruned", &NodeCounters::anchors_pruned},
+      };
+  for (const auto& [name, field] : kNodeCounters) {
+    std::uint64_t total = 0;
+    for (const auto& node : nodes_) total += node->counters().*field;
+    add_counter(name, total);
+  }
 
+  // Transport traffic and fault counters. In socket mode they cover only
+  // this coordinator process; each daemon's transport keeps its own.
   const net::NetworkStats traffic = transport_->stats();
+  const net::TransportCounters health = transport_->counters();
   add_counter("net.messages", traffic.messages);
   add_counter("net.bytes", traffic.bytes);
-  if (sim_ != nullptr) {
-    add_counter("net.dropped_messages", sim_->dropped_messages());
-  } else if (threaded_ != nullptr) {
-    add_counter("net.dropped_messages", threaded_->dropped_messages());
-    add_counter("net.handler_errors", threaded_->handler_errors().size());
-    // Node-side rejected frames already flow through the registry's
-    // net.decode_errors counter; fold in the transport backstop (frames a
-    // non-node actor failed to decode) so the exported total covers every
-    // layer.
-    for (auto& counter : snap.counters) {
-      if (counter.name == "net.decode_errors") {
-        counter.value += threaded_->decode_errors();
-      }
-    }
+  add_counter("net.dropped_messages", health.dropped_messages);
+  add_counter("net.handler_errors", health.handler_errors);
+  add_counter("net.frame_errors", health.frame_errors);
+  add_counter("net.reconnects", health.reconnects);
+  add_counter("net.heartbeats_missed", health.heartbeats_missed);
+  // In-process nodes count the frames they reject in the registry's own
+  // net.decode_errors; fold in the transport backstop (frames another
+  // actor failed to decode) so the exported total covers every layer.
+  const auto decode = std::find_if(
+      snap.counters.begin(), snap.counters.end(),
+      [](const auto& counter) { return counter.name == "net.decode_errors"; });
+  if (decode != snap.counters.end()) {
+    decode->value += health.decode_errors;
   } else {
-    // Socket mode: these cover only this coordinator process — each
-    // daemon's transport keeps its own (the nodes are remote, so the
-    // registry holds no node.*/net.decode_errors entries to fold into).
-    add_counter("net.dropped_messages", socket_->dropped_messages());
-    add_counter("net.handler_errors", socket_->handler_errors().size());
-    add_counter("net.decode_errors", socket_->decode_errors());
-    add_counter("net.frame_errors", socket_->frame_errors());
-    add_counter("net.reconnects", socket_->reconnects());
-    add_counter("net.heartbeats_missed", socket_->heartbeats_missed());
+    add_counter("net.decode_errors", health.decode_errors);
   }
 
   std::uint64_t buffered = client_spans_.size();
@@ -723,13 +592,7 @@ obs::MetricsSnapshot Client::metrics() const {
 obs::QueryTrace Client::collect_trace(std::uint64_t query_id) {
   require(indexed_, "Client::collect_trace before index()/load_index()");
   for (net::NodeId id = 0; id < topology_->total_nodes(); ++id) {
-    if (transport_down(id)) continue;
-    net::Message collect;
-    collect.from = net::kClientNode;
-    collect.to = id;
-    collect.type = kCollectTrace;
-    collect.request_id = query_id;
-    transport_->send(std::move(collect));
+    if (!transport_down(id)) send_to(id, kCollectTrace, query_id);
   }
   settle();
 
@@ -764,46 +627,6 @@ std::vector<std::uint64_t> Client::block_counts() const {
   return counts;
 }
 
-NodeCounters Client::total_counters() const {
-  NodeCounters total;
-  for (const auto& node : nodes_) {
-    const NodeCounters& c = node->counters();
-    total.blocks_inserted += c.blocks_inserted;
-    total.sequences_stored += c.sequences_stored;
-    total.blocks_restored += c.blocks_restored;
-    total.sequences_restored += c.sequences_restored;
-    total.nn_searches += c.nn_searches;
-    total.nn_cache_hits += c.nn_cache_hits;
-    total.nn_cache_misses += c.nn_cache_misses;
-    total.seeds_emitted += c.seeds_emitted;
-    total.fetches_served += c.fetches_served;
-    total.group_queries += c.group_queries;
-    total.queries_coordinated += c.queries_coordinated;
-    total.anchors_extended += c.anchors_extended;
-    total.gapped_extensions += c.gapped_extensions;
-    total.fetch_ranges_coalesced += c.fetch_ranges_coalesced;
-    total.anchors_pruned += c.anchors_pruned;
-  }
-  return total;
-}
-
-net::SimTransport& Client::transport() {
-  require(sim_ != nullptr, "Client::transport: not in TransportMode::kSim");
-  return *sim_;
-}
-
-net::ThreadTransport& Client::thread_transport() {
-  require(threaded_ != nullptr,
-          "Client::thread_transport: not in TransportMode::kThreaded");
-  return *threaded_;
-}
-
-net::SocketTransport& Client::socket_transport() {
-  require(socket_ != nullptr,
-          "Client::socket_transport: not in TransportMode::kSocket");
-  return *socket_;
-}
-
 StorageNode& Client::node(net::NodeId id) {
   require(id < nodes_.size(), "Client::node: id out of range");
   return *nodes_[id];
@@ -820,22 +643,13 @@ const vpt::VpPrefixTree& Client::prefix_tree() const {
 }
 
 void Client::broadcast_membership(net::NodeId changed, bool down) {
-  SetNodeDownPayload payload;
-  payload.node = changed;
-  payload.down = down;
-  const auto bytes = encode_payload(payload);
+  const auto payload = encode_payload(SetNodeDownPayload{changed, down});
   for (net::NodeId id = 0; id < topology_->total_nodes(); ++id) {
     // On heal the changed node hears it too: a daemon that stayed alive
     // ignores the same-generation re-init, so this message is what clears
     // its own membership view. On fail its traffic is dropped anyway.
     if ((down && id == changed) || transport_down(id)) continue;
-    net::Message message;
-    message.from = net::kClientNode;
-    message.to = id;
-    message.type = kSetNodeDown;
-    message.request_id = 0;
-    message.payload = bytes;
-    transport_->send(std::move(message));
+    send_to(id, kSetNodeDown, 0, payload);
   }
 }
 
@@ -843,33 +657,33 @@ void Client::fail_node(net::NodeId id) {
   require(topology_ != nullptr && id < topology_->total_nodes(),
           "Client::fail_node: id out of range");
   fault_injector().fail_node(id);
-  for (auto& node : nodes_) node->set_down(id, true);
-  if (socket_) {
-    // Remote daemons update their membership view by message; settle so
-    // the exclusion is in force before the caller's next query.
-    broadcast_membership(id, /*down=*/true);
-    settle();
-  }
+  // Settle so the exclusion is in force before the caller's next query.
+  broadcast_membership(id, /*down=*/true);
+  settle();
 }
 
 void Client::heal_node(net::NodeId id) {
   require(topology_ != nullptr && id < topology_->total_nodes(),
           "Client::heal_node: id out of range");
   fault_injector().heal_node(id);
-  for (auto& node : nodes_) node->set_down(id, false);
-  if (socket_ && indexed_) {
+  if (indexed_ && !hosts_nodes()) {
     // Re-initialize the healed node at the original generation: a daemon
     // that stayed alive through the (injected) outage ignores it and
     // keeps its shard; a restarted daemon rebuilds empty and rejoins.
     // FIFO per connection orders the init before everything below.
-    net::Message init;
-    init.from = net::kClientNode;
-    init.to = id;
-    init.type = kNodeInit;
-    init.request_id = 0;
-    init.payload = encode_payload(make_node_init());
-    transport_->send(std::move(init));
-    broadcast_membership(id, /*down=*/false);
+    send_to(id, kNodeInit, 0, encode_payload(make_node_init()));
+  }
+  broadcast_membership(id, /*down=*/false);
+  // The node missed every membership change and kSetResidues sent while it
+  // was down: give it the whole current view and the residue total.
+  for (net::NodeId other = 0; other < topology_->total_nodes(); ++other) {
+    if (other == id) continue;
+    send_to(id, kSetNodeDown, 0,
+            encode_payload(SetNodeDownPayload{other, transport_down(other)}));
+  }
+  if (indexed_) {
+    send_to(id, kSetResidues, 0,
+            encode_payload(SetResiduesPayload{database_residues_}));
   }
 
   // Scrub the healed node: deliver every cancel that was deferred while
@@ -884,22 +698,15 @@ void Client::heal_node(net::NodeId id) {
       deferred_cancels_.erase(it);
     }
   }
-  for (std::uint64_t query_id : flush) {
-    net::Message cancel;
-    cancel.from = net::kClientNode;
-    cancel.to = id;
-    cancel.type = kCancelQuery;
-    cancel.request_id = query_id;
-    transport_->send(std::move(cancel));
-  }
-  if (!flush.empty() || socket_) settle();
+  for (std::uint64_t query_id : flush) send_to(id, kCancelQuery, query_id);
+  settle();
 }
 
 // --- persistence ------------------------------------------------------------
 
 void Client::save_index(const std::string& path) const {
   require(indexed_, "Client::save_index before index()");
-  require(socket_ == nullptr,
+  require(hosts_nodes(),
           "Client::save_index: not available in TransportMode::kSocket "
           "(the shards live in the daemon processes)");
   CodecWriter writer;
@@ -947,7 +754,7 @@ void Client::save_index(const std::string& path) const {
 
 void Client::load_index(const std::string& path) {
   require(!indexed_, "Client::load_index: already indexed");
-  require(socket_ == nullptr,
+  require(hosts_nodes(),
           "Client::load_index: not available in TransportMode::kSocket "
           "(daemons build their shards from the indexing stream)");
   std::ifstream in(path, std::ios::binary);
@@ -1005,9 +812,6 @@ void Client::load_index(const std::string& path) {
                             std::to_string(group));
   }
   require(shards == nodes_.size(), "load_index: node shard count mismatch");
-  for (auto& node : nodes_) {
-    node->set_database_residues(database_residues_);
-  }
   // Recover the id watermark from the restored shards so add_sequences()
   // keeps allocating fresh ids after a load.
   seq::SequenceId watermark = 0;

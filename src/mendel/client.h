@@ -25,11 +25,21 @@
 //   * TransportMode::kSocket — real sockets between processes. The Client
 //     hosts no StorageNodes; mendel-node daemons (tools/mendel_node) serve
 //     them at the endpoints in RuntimeOptions::socket, and the Client
-//     drives their lifecycle with the kNodeInit/kBarrier control messages.
-//     Queries time out (RuntimeOptions::socket.query_timeout) instead of
-//     using cluster-idle stall detection, and node liveness comes from
-//     heartbeats mapped onto the same node_down/cancel/heal machinery the
-//     in-process runtimes use for injected faults.
+//     drives their lifecycle with the kNodeInit control message. Node
+//     liveness comes from heartbeats mapped onto the same
+//     node_down/cancel/heal machinery the in-process runtimes use for
+//     injected faults.
+//
+// The Client holds the runtime only as a net::Transport and runs one code
+// path on all three: start()/stop() bracket its life, settle() asks the
+// transport to quiesce() and falls back to a kBarrier/kBarrierAck round
+// when it cannot prove the cluster idle (sockets), and wait() declares a
+// query stalled when the transport proves the cluster idle without its
+// reply or when RuntimeOptions::query_timeout passes, whichever comes
+// first. State the in-process nodes need (the database residue total,
+// membership) travels as messages on every runtime. Only spawning,
+// snapshots, elastic scale-out and re-initializing a healed daemon ask
+// whether the nodes live in this process.
 //
 // Concurrent admission: submit() injects a query and returns a ticket;
 // wait() blocks for that query's result. query() is submit+wait, and
@@ -122,8 +132,14 @@ struct RuntimeOptions {
   // 0 (default) keeps the historical FIFO-tie-break schedule. See
   // net::SimTransport::set_schedule_seed.
   std::uint64_t schedule_seed = 0;
+  // Deadlines, on every runtime: how long wait() waits for a query reply
+  // before declaring the query stalled (the transport's idle probe usually
+  // proves a stall much sooner in-process), and how long settle() waits for
+  // barrier acks when the transport cannot quiesce by itself.
+  double query_timeout = 30.0;
+  double settle_timeout = 10.0;
   // Socket deployment (TransportMode::kSocket only): the cluster endpoint
-  // table and timeouts. The MENDEL_ENDPOINTS environment variable
+  // table and connection knobs. The MENDEL_ENDPOINTS environment variable
   // (comma-separated endpoint list) overrides `socket.endpoints` at Client
   // construction, mirroring the daemon side.
   net::SocketOptions socket;
@@ -142,7 +158,7 @@ struct QueryOutcome {
   std::vector<align::AlignmentHit> hits;
   // Turnaround from the query's injection to the client's receipt of the
   // ranked result: virtual time under TransportMode::kSim (what Figures
-  // 6a–6c measure), wall time under kThreaded.
+  // 6a–6c measure), wall time otherwise.
   double turnaround = 0.0;
   // Exactly this query's network traffic, even with other queries in
   // flight: the transport tags every message whose request_id equals the
@@ -150,8 +166,9 @@ struct QueryOutcome {
   // dataflow reuses the query id as request_id end to end).
   net::NetworkStats traffic;
   // False when the query's dataflow stalled (e.g. a node failed silently
-  // mid-query and a fan-in never completed). The client then broadcasts
-  // kCancelQuery so no pending state leaks, and returns empty hits.
+  // mid-query and a fan-in never completed) or its reply missed
+  // RuntimeOptions::query_timeout. The client then broadcasts kCancelQuery
+  // so no pending state leaks, and returns empty hits.
   bool completed = true;
 };
 
@@ -159,11 +176,6 @@ struct QueryOutcome {
 struct QueryTicket {
   std::uint64_t id = 0;
   double injected_at = 0.0;
-  // Deprecated: cluster-wide totals at submit time. QueryOutcome.traffic is
-  // now computed from the transport's per-query attribution, which is exact
-  // under concurrency; the after-minus-before diff over this field was only
-  // an upper bound. Kept (and still populated) so existing callers build.
-  net::NetworkStats traffic_before;
 };
 
 class Client {
@@ -191,8 +203,8 @@ class Client {
   // rebalance protocol — consistent hashing moves ~1/n of the group's
   // blocks (and a slice of the sequence repository) onto the newcomer.
   // Returns the new node's id. Queries work unchanged afterwards.
-  // Simulator mode only (the threaded runtime pins its worker set at
-  // start()).
+  // TransportMode::kSim only (the threaded runtime pins its worker set at
+  // start(), and socket daemons host a fixed node set).
   net::NodeId add_node(std::uint32_t group);
 
   bool indexed() const { return indexed_; }
@@ -202,11 +214,11 @@ class Client {
   // in TransportMode::kThreaded; in kSim the caller must stay on the one
   // driving thread (the simulator itself is single-threaded).
   QueryTicket submit(const seq::Sequence& query, QueryParams params = {});
-  // Blocks until the ticket's query completed or provably stalled (the
-  // transport went idle without its reply). On a stall, broadcasts
-  // kCancelQuery to every alive node — nodes the transport knows are down
-  // get their cancel deferred until heal_node() — and reports
-  // completed = false.
+  // Blocks until the ticket's query completed or stalled: the transport
+  // proved the cluster idle without its reply, or query_timeout passed. On
+  // a stall, broadcasts kCancelQuery to every alive node — nodes the
+  // transport knows are down get their cancel deferred until heal_node() —
+  // and reports completed = false.
   QueryOutcome wait(const QueryTicket& ticket);
   // submit() + wait().
   QueryOutcome query(const seq::Sequence& query, QueryParams params = {});
@@ -214,13 +226,19 @@ class Client {
   // the cluster concurrently. Outcomes are in input order.
   std::vector<QueryOutcome> query_batch(
       const std::vector<seq::Sequence>& queries, QueryParams params = {});
+  // Blocks until every message sent so far has been handled: the
+  // transport's quiesce(), or, when it cannot prove quiescence, a kBarrier
+  // to every alive node and their acks (bounded by settle_timeout). Call
+  // before reading node state that in-flight work may still change.
+  void settle();
 
   // --- observability -----------------------------------------------------
   // One coherent reading of every stat the cluster keeps: the registry's
   // own instruments (pipeline-stage latency histograms, client counters)
   // plus synthetic entries folding in the per-node NodeCounters totals
-  // (node.*), transport traffic (net.*) and span-buffer health (trace.*).
-  // Serialize with MetricsSnapshot::to_json()/to_prometheus().
+  // (node.*), transport traffic and net::TransportCounters (net.*) and
+  // span-buffer health (trace.*). The name set is the same on every
+  // runtime. Serialize with MetricsSnapshot::to_json()/to_prometheus().
   obs::MetricsSnapshot metrics() const;
   // The registry behind metrics(); for attaching extra instruments.
   obs::MetricsRegistry& metrics_registry() { return registry_; }
@@ -234,20 +252,6 @@ class Client {
   // --- telemetry ---------------------------------------------------------
   const cluster::Topology& topology() const;
   std::vector<std::uint64_t> block_counts() const;
-  // Deprecated: summed NodeCounters across nodes. Prefer metrics(), which
-  // includes these totals as node.* counters next to everything else. Kept
-  // so existing callers build.
-  NodeCounters total_counters() const;
-  // Deprecated concrete-transport accessors, kept as shims over the
-  // factory-owned transport (construction itself now goes through
-  // net::make_transport). Prefer fault_injector() for the capability most
-  // callers wanted these for.
-  // The simulator instance (TransportMode::kSim only).
-  net::SimTransport& transport();
-  // The threaded instance (TransportMode::kThreaded only).
-  net::ThreadTransport& thread_transport();
-  // The socket instance (TransportMode::kSocket only).
-  net::SocketTransport& socket_transport();
   // The transport's fault-injection capability (all modes).
   net::FaultInjector& fault_injector() const;
   StorageNode& node(net::NodeId id);
@@ -261,9 +265,10 @@ class Client {
   // Marks a node failed: the transport drops its traffic and every other
   // node excludes it from fan-outs and home-node lookups.
   void fail_node(net::NodeId id);
-  // Re-admits the node and flushes any cancel broadcasts that were
-  // deferred while it was down (so no cancelled query's pending state can
-  // survive on a healed node).
+  // Re-admits the node, re-sends the membership view and database
+  // residue total it may have missed while down, and flushes any cancel broadcasts that were
+  // deferred meanwhile (so no cancelled query's pending state can survive
+  // on a healed node).
   void heal_node(net::NodeId id);
 
   // --- persistence (paper §VII-B future work) ------------------------------
@@ -283,38 +288,35 @@ class Client {
     double arrival = 0.0;
   };
 
+  // True when the StorageNodes live in this process (kSim, kThreaded);
+  // false when mendel-node daemons host them (kSocket).
+  bool hosts_nodes() const {
+    return options_.runtime.transport_mode != TransportMode::kSocket;
+  }
   void spawn_nodes(seq::Alphabet alphabet);
-  // Runs the cluster to quiescence: run_until_idle (sim) / wait_idle
-  // (threaded) / barrier broadcast with acks (socket). Returns the virtual
-  // horizon (sim) or 0.
-  double settle();
-  // Socket-mode settle: kBarrier to every alive node, wait for the acks
-  // up to socket.settle_timeout (a node dying mid-settle must not hang the
-  // coordinator forever).
-  void settle_socket() MENDEL_EXCLUDES(barrier_mu_);
+  // The configuration of an in-process StorageNode.
+  StorageNodeConfig node_config();
+  // kBarrier to every alive node, then wait for their acks up to
+  // settle_timeout (a node dying mid-settle must not hang the coordinator
+  // forever). settle()'s fallback when the transport cannot quiesce.
+  void barrier_round() MENDEL_EXCLUDES(barrier_mu_);
   // The kNodeInit payload describing the current cluster (socket mode).
   NodeInitPayload make_node_init() const;
-  // Pushes database_residues_ to every node: direct call in-process,
-  // kSetResidues broadcast + settle over sockets.
+  // One message from the client actor.
+  void send_to(net::NodeId to, std::uint32_t type, std::uint64_t request_id,
+               std::vector<std::uint8_t> payload = {});
+  // kSetResidues{database_residues_} to every alive node (the caller
+  // settles).
   void propagate_residues();
-  // Socket mode: kSetNodeDown{changed,down} to every alive node but
-  // `changed` itself (the caller settles).
+  // kSetNodeDown{changed,down} to every alive node but a failed `changed`
+  // itself (the caller settles).
   void broadcast_membership(net::NodeId changed, bool down);
-  // Injection/arrival clock: virtual external time (sim), wall time
-  // (threaded).
-  double now_seconds() const;
   bool transport_down(net::NodeId id) const;
   // kCancelQuery to every node, deferring nodes the transport knows are
   // down (flushed on heal_node).
   void broadcast_cancel(std::uint64_t query_id) MENDEL_EXCLUDES(cancel_mu_);
   std::optional<Reply> take_reply(std::uint64_t query_id)
       MENDEL_EXCLUDES(reply_mu_);
-  QueryOutcome wait_sim(const QueryTicket& ticket);
-  QueryOutcome wait_threaded(const QueryTicket& ticket);
-  // Socket mode: no cluster-wide idle exists across processes, so a reply
-  // missing past socket.query_timeout is declared a stall (then cancelled
-  // like the other runtimes' stalls).
-  QueryOutcome wait_socket(const QueryTicket& ticket);
   QueryOutcome finish_outcome(const QueryTicket& ticket,
                               std::optional<Reply> reply);
   // Records a client-side span (node = net::kClientNode) and returns its id
@@ -330,20 +332,12 @@ class Client {
   std::unique_ptr<cluster::Topology> topology_;
   std::unique_ptr<score::DistanceMatrix> distance_;
   std::unique_ptr<vpt::VpPrefixTree> prefix_tree_;
-  // The factory-owned transport; exactly one of the typed observer
-  // pointers below is non-null (they exist for the runtime-specific calls
-  // — run_until_idle, wait_idle, start/stop — the Transport interface
-  // deliberately doesn't carry).
-  std::unique_ptr<net::Transport> transport_owner_;
-  net::SimTransport* sim_ = nullptr;
-  net::ThreadTransport* threaded_ = nullptr;
-  net::SocketTransport* socket_ = nullptr;
-  net::Transport* transport_ = nullptr;
+  // The factory-built runtime, driven only through net::Transport.
+  std::unique_ptr<net::Transport> transport_;
   std::unique_ptr<ThreadPool> search_pool_;
   std::vector<std::unique_ptr<StorageNode>> nodes_;
   std::unique_ptr<net::Actor> client_actor_;
   bool indexed_ = false;
-  bool started_ = false;  // threaded workers running
   std::atomic<std::uint64_t> next_query_id_{1};
   seq::SequenceId next_sequence_id_ = 0;
   std::uint64_t database_residues_ = 0;
@@ -362,8 +356,9 @@ class Client {
   std::map<net::NodeId, std::vector<std::uint64_t>> deferred_cancels_
       MENDEL_GUARDED_BY(cancel_mu_);
 
-  // Socket-mode settle barrier: the client actor decrements
-  // barrier_outstanding_ as kBarrierAck frames land.
+  // Barrier round (settle() on a transport that cannot quiesce): the
+  // client actor decrements barrier_outstanding_ as kBarrierAck frames
+  // land.
   std::mutex barrier_mu_;
   std::condition_variable barrier_cv_;
   std::uint64_t barrier_id_ MENDEL_GUARDED_BY(barrier_mu_) = 0;

@@ -60,10 +60,10 @@ enum MessageType : std::uint32_t {
   // from its SpanBuffer and replies kTraceReport.
   kCollectTrace = 40,
   kTraceReport = 41,
-  // Cluster control (socket deployment): in TransportMode::kSocket the
-  // coordinator process hosts no StorageNodes, so state that the in-process
-  // runtimes install through direct method calls travels as messages to the
-  // mendel-node daemons instead.
+  // Cluster control: state the coordinator installs on the nodes. It
+  // travels as messages on every runtime, so one Client path serves
+  // in-process nodes and mendel-node daemons alike (kNodeInit is only sent
+  // to daemons; in-process nodes are constructed directly).
   //   kNodeInit     — (re)build the hosted nodes: topology shape, alphabet,
   //                   routing prefix tree, membership. Carries a generation;
   //                   a host already at that generation ignores the message
@@ -76,8 +76,8 @@ enum MessageType : std::uint32_t {
   //                   sender. Acked over the same FIFO connection the
   //                   sender's earlier messages used, so collecting every
   //                   alive node's ack proves those messages were handled —
-  //                   the socket runtime's stand-in for run_until_idle /
-  //                   wait_idle. Both carry empty payloads.
+  //                   Client::settle()'s fallback on a transport that cannot
+  //                   quiesce(). Both carry empty payloads.
   kNodeInit = 50,
   kSetNodeDown = 51,
   kSetResidues = 52,

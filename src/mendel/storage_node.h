@@ -193,10 +193,15 @@ class StorageNode final : public net::Actor {
   // from fan-outs and home-node selection. (The paper leaves fault
   // tolerance as future work; Mendel ships a static-membership version.)
   void set_down(net::NodeId node, bool down);
+  bool is_down(net::NodeId node) const { return down_.contains(node); }
 
   // Updated by the client after (incremental) indexing.
   void set_database_residues(std::uint64_t residues) {
     config_.database_residues = residues;
+  }
+  // The E-value search-space denominator this node ranks hits with.
+  std::uint64_t database_residues() const {
+    return config_.database_residues;
   }
 
   // --- persistence (paper §VII-B future work: save pre-indexed data) ----
@@ -536,7 +541,6 @@ class StorageNode final : public net::Actor {
 
   // First alive home node of a sequence key.
   net::NodeId pick_sequence_home(std::uint64_t key) const;
-  bool is_down(net::NodeId node) const { return down_.contains(node); }
   std::vector<net::NodeId> alive_group_members(std::uint32_t group) const;
 
   // Admits one block unless already stored (dedup against block_keys_;

@@ -1,5 +1,7 @@
 #include "src/net/message.h"
 
+#include <chrono>
+
 namespace mendel::net {
 
 std::string describe(const Message& message) {
@@ -18,6 +20,12 @@ void Context::send(NodeId to, std::uint32_t type, std::uint64_t request_id,
   message.request_id = request_id;
   message.payload = std::move(payload);
   transport_->send(std::move(message));
+}
+
+double Transport::external_time() const {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 }  // namespace mendel::net

@@ -113,6 +113,24 @@ struct NetworkStats {
   std::uint64_t bytes = 0;
 };
 
+// Fault and health counters of one transport. Every runtime fills the same
+// struct; a count a runtime cannot incur stays 0 (the simulator has no
+// frames, connections or heartbeats, and rethrows handler errors).
+struct TransportCounters {
+  // Messages dropped because the destination was failed or unreachable.
+  std::uint64_t dropped_messages = 0;
+  // Exceptions actor handlers raised (the worker kept serving).
+  std::uint64_t handler_errors = 0;
+  // Frames an actor rejected with DecodeError, plus framing-layer errors.
+  std::uint64_t decode_errors = 0;
+  // Connections dropped because the byte stream itself was malformed.
+  std::uint64_t frame_errors = 0;
+  // Successful redials of a previously connected peer.
+  std::uint64_t reconnects = 0;
+  // Peers the heartbeat monitor declared down (transition count).
+  std::uint64_t heartbeats_missed = 0;
+};
+
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -125,6 +143,31 @@ class Transport {
   virtual void send(Message message) = 0;
 
   virtual NetworkStats stats() const = 0;
+
+  // --- lifecycle and quiescence ------------------------------------------
+  // The owner drives every runtime through these calls alone. The defaults
+  // describe a transport that needs no threads and can prove nothing about
+  // the cluster: SimTransport and ThreadTransport prove quiescence, and
+  // SocketTransport, which sees only its own process, keeps the defaults.
+
+  // Begins delivery; every local actor must be registered first.
+  virtual void start() {}
+  // Drains local work and stops delivery. Idempotent, and a no-op before
+  // start().
+  virtual void stop() {}
+  // Blocks until no message is queued or being handled anywhere in the
+  // cluster and returns true; returns false at once when the transport
+  // cannot prove that (the caller then needs an explicit barrier).
+  virtual bool quiesce() { return false; }
+  // Non-blocking stall probe: true only when the transport can prove that
+  // nothing is queued or being handled, so a missing reply will never
+  // come. The simulator, which only advances when driven, first runs its
+  // queue dry.
+  virtual bool poll_idle() { return false; }
+  // The clock that stamps query injection and reply arrival, in seconds:
+  // virtual time under the simulator, steady_clock otherwise.
+  virtual double external_time() const;
+  virtual TransportCounters counters() const { return {}; }
 
   // Fault-injection capability (src/net/fault.h). All Mendel transports
   // implement it and return `this`; the default keeps the Transport

@@ -66,7 +66,15 @@ class SimTransport final : public Transport, public FaultInjector {
   // Advances the external injection clock (used between queries so each
   // query's turnaround is measured from its own injection time).
   void set_external_time(double now) { external_now_ = now; }
-  double external_time() const { return external_now_; }
+  double external_time() const override { return external_now_; }
+
+  // Quiescence is a full drain: both calls run the queue dry (advancing the
+  // external clock to the drained horizon) and report idle.
+  bool quiesce() override {
+    run_until_idle();
+    return true;
+  }
+  bool poll_idle() override { return quiesce(); }
 
   double node_clock(NodeId id) const;
   NetworkStats stats() const override { return stats_; }
@@ -113,6 +121,9 @@ class SimTransport final : public Transport, public FaultInjector {
   bool node_down(NodeId id) const override;
   void drop_type_to(NodeId id, std::uint32_t type) override;
   std::uint64_t dropped_messages() const override { return dropped_; }
+  TransportCounters counters() const override {
+    return {.dropped_messages = dropped_};
+  }
 
  private:
   struct Event {

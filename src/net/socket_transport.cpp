@@ -595,7 +595,8 @@ void SocketTransport::close_conn(const std::shared_ptr<Conn>& conn) {
   // actual close(2) so the fd number cannot be reused while a writer is
   // mid-send on it.
   if (!conn->open.exchange(false, std::memory_order_acq_rel)) return;
-  ::shutdown(conn->fd, SHUT_RDWR);
+  std::lock_guard lock(conn->fd_mu);
+  if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
 }
 
 void SocketTransport::adopt_reader(std::shared_ptr<Conn> conn) {
@@ -604,7 +605,7 @@ void SocketTransport::adopt_reader(std::shared_ptr<Conn> conn) {
     // stop() already collected the readers; a connection racing shutdown
     // (e.g. a send-path redial from a draining handler) is just closed.
     close_conn(conn);
-    std::lock_guard fd_lock(conn->write_mu);
+    std::scoped_lock fd_lock(conn->write_mu, conn->fd_mu);
     if (conn->fd >= 0) {
       ::close(conn->fd);
       conn->fd = -1;
@@ -656,7 +657,7 @@ void SocketTransport::reader_loop(std::shared_ptr<Conn> conn) {
     }
   }
   {
-    std::lock_guard lock(conn->write_mu);
+    std::scoped_lock lock(conn->write_mu, conn->fd_mu);
     ::close(conn->fd);
     conn->fd = -1;
   }
@@ -833,6 +834,17 @@ void SocketTransport::drop_type_to(NodeId id, std::uint32_t type) {
 std::vector<std::string> SocketTransport::handler_errors() const {
   std::lock_guard lock(errors_mu_);
   return errors_;
+}
+
+TransportCounters SocketTransport::counters() const {
+  TransportCounters out;
+  out.dropped_messages = dropped_messages();
+  out.handler_errors = handler_errors().size();
+  out.decode_errors = decode_errors();
+  out.frame_errors = frame_errors();
+  out.reconnects = reconnects();
+  out.heartbeats_missed = heartbeats_missed();
+  return out;
 }
 
 void SocketTransport::record_error(std::string what) {

@@ -30,9 +30,10 @@
 //     cancel/heal machinery consumes for simulated failures.
 //
 // What this transport does NOT give: global quiescence detection (there is
-// no cluster-wide idle() across processes — the client uses reply timeouts
-// and explicit barrier messages instead) and virtual time (Context::now()
-// is wall time, like ThreadTransport).
+// no cluster-wide idle across processes — quiesce() and poll_idle() return
+// false, so the client falls back to reply deadlines and explicit barrier
+// messages) and virtual time (Context::now() is wall time, like
+// ThreadTransport).
 #pragma once
 
 #include <atomic>
@@ -75,12 +76,6 @@ struct SocketOptions {
   // order; start retries within this window before giving up and leaving
   // the peer to the backoff/heartbeat machinery).
   double connect_timeout = 10.0;
-  // Client-side deadlines (consumed by core::Client, carried here so all
-  // socket deployment knobs travel together): how long wait() waits for a
-  // query reply before declaring the query stalled, and how long settle()
-  // waits for barrier acks.
-  double query_timeout = 30.0;
-  double settle_timeout = 10.0;
   // Frame-length acceptance bound (see frame.h).
   std::size_t max_frame_bytes = kMaxFrameBytes;
 };
@@ -108,11 +103,11 @@ class SocketTransport final : public Transport, public FaultInjector {
   // Binds the local listeners, dials every remote endpoint (retrying up to
   // connect_timeout per peer), and spawns the dispatch / accept / monitor
   // threads. Throws IoError when a local endpoint cannot be bound.
-  void start();
+  void start() override;
 
   // Drains local mailboxes, closes every socket, joins every thread.
-  // Idempotent; also run by the destructor.
-  void stop();
+  // Idempotent, a no-op before start(); also run by the destructor.
+  void stop() override;
 
   // Thread-safe. Local destinations enqueue; remote destinations frame and
   // write (redialing through backoff when the connection died). Messages
@@ -164,6 +159,10 @@ class SocketTransport final : public Transport, public FaultInjector {
   // Errors thrown by local actor handlers (kept serving, like
   // ThreadTransport).
   std::vector<std::string> handler_errors() const MENDEL_EXCLUDES(errors_mu_);
+  // All of the above in the runtime-independent struct. quiesce() and
+  // poll_idle() keep the Transport defaults: one process cannot see frames
+  // on the wire or queued in other processes, so it never proves idle.
+  TransportCounters counters() const override;
 
   const SocketOptions& options() const { return options_; }
 
@@ -172,8 +171,16 @@ class SocketTransport final : public Transport, public FaultInjector {
   // (joined in stop()), not by the connection, so a connection object can
   // die while its reader unwinds.
   struct Conn {
+    // Set before the reader thread starts; afterwards only closed (and
+    // reset to -1) with both mutexes held, so holding either one makes a
+    // read safe.
     int fd = -1;
     std::mutex write_mu;
+    // Orders close_conn's shutdown(2) against the close(2), so a shutdown
+    // never lands on a closed (possibly reused) descriptor. Unlike
+    // write_mu it is never held across a blocking call, so stop() cannot
+    // wait behind a writer stuck on a peer that stopped reading.
+    std::mutex fd_mu;
     std::atomic<bool> open{true};
   };
 

@@ -7,7 +7,7 @@
 namespace mendel::net {
 
 ThreadTransport::~ThreadTransport() {
-  if (started_ && !stopped_) drain_and_stop();
+  stop();
 }
 
 void ThreadTransport::register_actor(NodeId id, Actor* actor) {
@@ -132,6 +132,24 @@ void ThreadTransport::wait_idle() {
   idle_cv_.wait(lock, [this] {
     return inflight_.load(std::memory_order_acquire) == 0;
   });
+}
+
+void ThreadTransport::stop() {
+  if (started_ && !stopped_) drain_and_stop();
+}
+
+bool ThreadTransport::quiesce() {
+  if (!started_) return idle();
+  wait_idle();
+  return true;
+}
+
+TransportCounters ThreadTransport::counters() const {
+  TransportCounters out;
+  out.dropped_messages = dropped_messages();
+  out.handler_errors = handler_errors().size();
+  out.decode_errors = decode_errors();
+  return out;
 }
 
 void ThreadTransport::drain_and_stop() {

@@ -39,7 +39,10 @@ class ThreadTransport final : public Transport, public FaultInjector {
   void register_actor(NodeId id, Actor* actor) override;
 
   // Spawns one worker thread per registered actor.
-  void start();
+  void start() override;
+  // drain_and_stop() once started; a no-op before start() and after the
+  // first stop.
+  void stop() override;
 
   // Thread-safe; may be called from handlers or from outside. Messages to
   // failed nodes are dropped (counted in dropped_messages()).
@@ -57,6 +60,12 @@ class ThreadTransport final : public Transport, public FaultInjector {
   bool idle() const {
     return inflight_.load(std::memory_order_acquire) == 0;
   }
+
+  // Transport quiescence: wait_idle() once the workers run (before start()
+  // nothing is delivered, so only an empty backlog is idle) and idle().
+  bool quiesce() override;
+  bool poll_idle() override { return idle(); }
+  TransportCounters counters() const override;
 
   // Blocks until every mailbox is empty and no handler is running, then
   // stops all workers. Safe to call once.

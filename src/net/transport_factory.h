@@ -4,14 +4,11 @@
 // selects its transport through TransportMode + TransportConfig instead of
 // naming a concrete class, so adding a transport — as the socket transport
 // was — touches this file and nothing upstream. The returned Transport
-// exposes the capabilities callers need behind virtual interfaces:
-// fault_injector() for failure injection (all three transports implement
-// it) and the stats/per-query attribution surface on Transport itself.
-// Runtime-specific control (SimTransport::run_until_idle,
-// ThreadTransport::wait_idle, SocketTransport::start) stays behind a
-// dynamic_cast by the owner that selected the mode — the factory
-// deliberately does not wrap those, since their semantics differ per
-// runtime.
+// carries everything an owner needs behind virtual calls: start()/stop()
+// lifecycle, quiesce() and poll_idle() for settling and stall detection,
+// external_time() for stamping queries, counters() and the per-query
+// attribution surface for observability, and fault_injector() for failure
+// injection. No owner needs to know which concrete class it holds.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +36,8 @@ struct TransportConfig {
   SocketOptions socket;
 };
 
-// Constructs the transport for `config.mode`. The concrete lifecycle calls
-// (start/run/stop) remain the owner's job.
+// Constructs the transport for `config.mode`. Starting and stopping it
+// (Transport::start/stop) remains the owner's job.
 std::unique_ptr<Transport> make_transport(const TransportConfig& config);
 
 }  // namespace mendel::net

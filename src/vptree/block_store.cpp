@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "src/common/error.h"
 
@@ -58,9 +59,14 @@ bool BlockStore::supported() { return true; }
 BlockStore::BlockStore(std::size_t budget_bytes, std::size_t segment_bytes) {
   require(segment_bytes > 0, "BlockStore: zero segment size");
   segment_bytes_ = round_up_pow2(std::max(segment_bytes, page_size()));
-  budget_segments_ =
-      std::max<std::size_t>(kMinResidentSegments,
-                            (budget_bytes + segment_bytes_ - 1) / segment_bytes_);
+  // Round up to whole segments without overflowing budget_bytes + segment
+  // (a budget near SIZE_MAX means "unbounded", not the floor), and keep
+  // budget_bytes() representable.
+  const std::size_t whole = budget_bytes / segment_bytes_;
+  budget_segments_ = std::max(
+      kMinResidentSegments,
+      std::min(whole + (budget_bytes % segment_bytes_ != 0 ? 1 : 0),
+               std::numeric_limits<std::size_t>::max() / segment_bytes_));
   fd_ = open_backing_file();
 
   // One contiguous PROT_NONE reservation keeps data() stable for the life

@@ -41,9 +41,15 @@
 #include "src/common/check.h"
 #include "src/common/error.h"
 #include "src/common/rng.h"
-#include "src/vptree/vptree.h"
 
 namespace mendel::vpt {
+
+// One search result: a stored element and its distance to the target.
+template <typename T>
+struct Neighbor {
+  const T* item = nullptr;
+  double distance = 0.0;
+};
 
 struct DynamicVpTreeOptions {
   std::size_t bucket_capacity = 32;

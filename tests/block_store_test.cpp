@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -76,6 +77,19 @@ TEST(BlockStore, EvictionIsLosslessAndRespectsBudget) {
   EXPECT_GT(after.faults, mid.faults);
   std::string why;
   EXPECT_TRUE(store.audit(&why)) << why;
+}
+
+TEST(BlockStore, HugeBudgetRoundsUpWithoutOverflow) {
+  if (!BlockStore::supported()) GTEST_SKIP() << "no mmap on this host";
+  // A budget within one segment of SIZE_MAX (MENDEL_ARENA_BUDGET=-1 used
+  // to parse to exactly that) asks for no limit; rounding it up to whole
+  // segments must not wrap around to the tightest floor.
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  for (const std::size_t budget : {huge, huge - kSeg + 2}) {
+    BlockStore store(budget, kSeg);
+    EXPECT_EQ(store.budget_segments(), huge / kSeg) << budget;
+    EXPECT_GE(store.budget_bytes(), huge - kSeg) << budget;
+  }
 }
 
 TEST(BlockStore, PinnedSegmentsSurviveEvictionPressure) {

@@ -1,11 +1,12 @@
 // Unit tests for src/common: RNG, statistics, codec, table, thread pool,
-// flat key set.
+// flat key set, byte-size parsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 #include <sstream>
 
+#include "src/common/byte_size.h"
 #include "src/common/codec.h"
 #include "src/common/error.h"
 #include "src/common/flat_key_set.h"
@@ -379,6 +380,29 @@ TEST(ThreadPool, ManyTasksComplete) {
   }
   for (auto& f : futs) f.get();
   EXPECT_EQ(sum.load(), 5050);
+}
+
+// ---------- parse_byte_size ----------
+
+TEST(ParseByteSize, AcceptsDigitsWithOneBinarySuffix) {
+  EXPECT_EQ(parse_byte_size("0"), 0u);
+  EXPECT_EQ(parse_byte_size("4096"), 4096u);
+  EXPECT_EQ(parse_byte_size("4k"), 4u << 10);
+  EXPECT_EQ(parse_byte_size("4m"), 4u << 20);
+  EXPECT_EQ(parse_byte_size("4M"), 4u << 20);
+  EXPECT_EQ(parse_byte_size("2g"), std::size_t{2} << 30);
+}
+
+TEST(ParseByteSize, RejectsSignsTrailingCharactersAndOverflow) {
+  for (const char* bad : {"", "m", "-1", "+4", " 4", "4 ", "4mb", "4mzz",
+                          "4x", "0x10", "1.5m", "20000000000g",
+                          "99999999999999999999"}) {
+    EXPECT_EQ(parse_byte_size(bad), std::nullopt) << "'" << bad << "'";
+  }
+  // The largest value that still fits, and one past it.
+  const std::size_t max_g = std::numeric_limits<std::size_t>::max() >> 30;
+  EXPECT_EQ(parse_byte_size(std::to_string(max_g) + "g"), max_g << 30);
+  EXPECT_EQ(parse_byte_size(std::to_string(max_g + 1) + "g"), std::nullopt);
 }
 
 }  // namespace

@@ -89,20 +89,21 @@ TEST(NnCache, RepeatedQueryHitsTheCache) {
   const auto query = probe_of(store, 2, 10, 120);
 
   ASSERT_FALSE(client.query(query).hits.empty());
-  const auto first = client.total_counters();
-  EXPECT_GT(first.nn_cache_misses, 0u);
+  const auto first = client.metrics();
+  const auto first_hits = first.counter("node.nn_cache_hits");
+  const auto first_misses = first.counter("node.nn_cache_misses");
+  EXPECT_GT(first_misses, 0u);
   EXPECT_GT(total_cache_entries(client), 0u);
   // Hits + misses never exceed searches (empty-tree nodes skip both).
-  EXPECT_LE(first.nn_cache_hits + first.nn_cache_misses, first.nn_searches);
+  EXPECT_LE(first_hits + first_misses, first.counter("node.nn_searches"));
 
   // The identical query rotates to a different entry node, but every group
   // member sees the same (window, params) subqueries: all cache hits, no
   // new misses.
   ASSERT_FALSE(client.query(query).hits.empty());
-  const auto second = client.total_counters();
-  EXPECT_EQ(second.nn_cache_misses, first.nn_cache_misses);
-  EXPECT_EQ(second.nn_cache_hits - first.nn_cache_hits,
-            first.nn_cache_misses);
+  const auto second = client.metrics();
+  EXPECT_EQ(second.counter("node.nn_cache_misses"), first_misses);
+  EXPECT_EQ(second.counter("node.nn_cache_hits") - first_hits, first_misses);
 }
 
 TEST(NnCache, CachedSeedsProduceIdenticalHits) {
@@ -115,8 +116,8 @@ TEST(NnCache, CachedSeedsProduceIdenticalHits) {
   core::Client cold(cold_options);
   cold.index(store);
   const auto fresh = cold.query(query);
-  EXPECT_EQ(cold.total_counters().nn_cache_hits, 0u);
-  EXPECT_EQ(cold.total_counters().nn_cache_misses, 0u);
+  EXPECT_EQ(cold.metrics().counter("node.nn_cache_hits"), 0u);
+  EXPECT_EQ(cold.metrics().counter("node.nn_cache_misses"), 0u);
   EXPECT_EQ(total_cache_entries(cold), 0u);
 
   // Warm client: second run is served from the cache and must be
@@ -125,7 +126,7 @@ TEST(NnCache, CachedSeedsProduceIdenticalHits) {
   warm.index(store);
   warm.query(query);
   const auto cached = warm.query(query);
-  EXPECT_GT(warm.total_counters().nn_cache_hits, 0u);
+  EXPECT_GT(warm.metrics().counter("node.nn_cache_hits"), 0u);
   expect_same_hits(fresh.hits, cached.hits);
 }
 
@@ -267,67 +268,61 @@ TEST(ConcurrentQuery, QueryBatchMatchesSerialQueries) {
 
 // ---------- stall -> cancel -> heal -> retry ----------
 
-TEST(ConcurrentQuery, StallHealRetryLeavesNoLeakedPending) {
+// The fault tests run one body on every in-process runtime: the simulator
+// detects the stall by draining its queue, threads by transport
+// quiescence.
+class FaultRecoveryTest : public ::testing::TestWithParam<core::TransportMode> {
+ protected:
+  core::ClientOptions options(core::ClientOptions base) const {
+    base.runtime.transport_mode = GetParam();
+    return base;
+  }
+};
+
+std::string mode_name(
+    const ::testing::TestParamInfo<core::TransportMode>& info) {
+  return info.param == core::TransportMode::kSim ? "Sim" : "Threaded";
+}
+
+TEST_P(FaultRecoveryTest, StallHealRetryLeavesNoLeakedPending) {
   const auto store = workload::generate_database(database_spec());
-  core::Client client(cluster_options());
+  core::Client client(options(cluster_options()));
   client.index(store);
   const auto query = probe_of(store, 3, 10, 120);
   const auto healthy = client.query(query);
   ASSERT_TRUE(healthy.completed);
+  client.settle();
   expect_no_leaked_pending(client);
 
   // Silent failure: drop node 2's traffic without updating membership, so
   // fan-ins that await it stall and the cancel protocol kicks in.
-  client.transport().fail_node(2);
-  const auto dropped_before_cancel = client.transport().dropped_messages();
+  client.fault_injector().fail_node(2);
   const auto stalled = client.query(query);
   EXPECT_FALSE(stalled.completed);
   EXPECT_TRUE(stalled.hits.empty());
   // The cancel broadcast skipped the node the transport knows is down
   // (deferred instead of dropped): the stalled query's own traffic to node
   // 2 was dropped, but no cancel was.
-  const auto dropped_after_cancel = client.transport().dropped_messages();
+  const auto dropped_after_cancel =
+      client.metrics().counter("net.dropped_messages");
 
   // Healing flushes the deferred cancel to node 2, scrubbing any state the
   // aborted query could have left there.
   client.heal_node(2);
-  EXPECT_EQ(client.transport().dropped_messages(), dropped_after_cancel);
+  EXPECT_EQ(client.metrics().counter("net.dropped_messages"),
+            dropped_after_cancel);
   expect_no_leaked_pending(client);
-  (void)dropped_before_cancel;
 
   // Retry over the healed cluster completes and leaves nothing behind.
+  // wait() returns the instant the reply lands at the client actor; under
+  // threads the coordinator may still be inside the handler that erases
+  // its pending entry, so settle before inspecting node state.
   const auto retried = client.query(query);
   EXPECT_TRUE(retried.completed);
   expect_same_hits(healthy.hits, retried.hits);
+  client.settle();
   expect_no_leaked_pending(client);
-}
-
-TEST(ConcurrentQuery, ThreadedStallHealRetryLeavesNoLeakedPending) {
-  // Same protocol over real threads: the stall is detected by transport
-  // quiescence (idle() without a reply) instead of simulator drain.
-  auto options = cluster_options();
-  options.runtime.transport_mode = core::TransportMode::kThreaded;
-  const auto store = workload::generate_database(database_spec());
-  core::Client client(options);
-  client.index(store);
-  const auto query = probe_of(store, 3, 10, 120);
-
-  client.thread_transport().fail_node(2);
-  const auto stalled = client.query(query);
-  EXPECT_FALSE(stalled.completed);
-
-  client.heal_node(2);
-  expect_no_leaked_pending(client);
-
-  const auto retried = client.query(query);
-  EXPECT_TRUE(retried.completed);
-  EXPECT_TRUE(hits_contain(retried.hits, 3));
-  // wait() returns the instant the reply lands at the client actor; the
-  // coordinator may still be inside the handler that erases its pending
-  // entry. Quiesce before inspecting node state.
-  client.thread_transport().wait_idle();
-  expect_no_leaked_pending(client);
-  EXPECT_EQ(client.thread_transport().handler_errors().size(), 0u);
+  EXPECT_EQ(client.metrics().counter("net.handler_errors"), 0u);
 }
 
 // A node that served ranged fetches for `trace`'s query — a victim for
@@ -357,9 +352,15 @@ core::ClientOptions fetch_fault_options() {
 // extensions for already-arrived ranges possibly in flight — so the
 // cancel path must drain those tasks before scrubbing pending state, and
 // the healed cluster must complete the retry with the healthy ranking.
-TEST(ConcurrentQuery, HomeFailedMidFetchCancelsThenHealsAndCompletes) {
+TEST_P(FaultRecoveryTest, HomeFailedMidFetchCancelsThenHealsAndCompletes) {
   const auto store = workload::generate_database(database_spec());
-  core::Client client(fetch_fault_options());
+  auto fault_options = options(fetch_fault_options());
+  if (GetParam() == core::TransportMode::kThreaded) {
+    // Extensions ride the pool, so the cancel must also drain in-flight
+    // pool tasks.
+    fault_options.runtime.search_threads = 2;
+  }
+  core::Client client(fault_options);
   client.index(store);
   const auto query = probe_of(store, 3, 10, 120);
 
@@ -370,7 +371,7 @@ TEST(ConcurrentQuery, HomeFailedMidFetchCancelsThenHealsAndCompletes) {
       fetch_serving_node(client.collect_trace(healthy_ticket.id));
   ASSERT_NE(victim, net::kClientNode) << "query traced no ranged fetches";
 
-  client.transport().drop_type_to(victim, core::kFetchRange);
+  client.fault_injector().drop_type_to(victim, core::kFetchRange);
   const auto stalled = client.query(query);
   EXPECT_FALSE(stalled.completed);
   EXPECT_TRUE(stalled.hits.empty());
@@ -381,39 +382,15 @@ TEST(ConcurrentQuery, HomeFailedMidFetchCancelsThenHealsAndCompletes) {
   const auto retried = client.query(query);
   EXPECT_TRUE(retried.completed);
   expect_same_hits(healthy.hits, retried.hits);
+  client.settle();
   expect_no_leaked_pending(client);
+  EXPECT_EQ(client.metrics().counter("net.handler_errors"), 0u);
 }
 
-TEST(ConcurrentQuery, ThreadedHomeFailedMidFetchCancelsThenHealsAndCompletes) {
-  auto options = fetch_fault_options();
-  options.runtime.transport_mode = core::TransportMode::kThreaded;
-  options.runtime.search_threads = 2;  // extensions ride the pool
-  const auto store = workload::generate_database(database_spec());
-  core::Client client(options);
-  client.index(store);
-  const auto query = probe_of(store, 3, 10, 120);
-
-  const auto healthy_ticket = client.submit(query);
-  const auto healthy = client.wait(healthy_ticket);
-  ASSERT_TRUE(healthy.completed);
-  const auto victim =
-      fetch_serving_node(client.collect_trace(healthy_ticket.id));
-  ASSERT_NE(victim, net::kClientNode) << "query traced no ranged fetches";
-
-  client.thread_transport().drop_type_to(victim, core::kFetchRange);
-  const auto stalled = client.query(query);
-  EXPECT_FALSE(stalled.completed);
-
-  client.heal_node(victim);
-  expect_no_leaked_pending(client);
-
-  const auto retried = client.query(query);
-  EXPECT_TRUE(retried.completed);
-  expect_same_hits(healthy.hits, retried.hits);
-  client.thread_transport().wait_idle();
-  expect_no_leaked_pending(client);
-  EXPECT_EQ(client.thread_transport().handler_errors().size(), 0u);
-}
+INSTANTIATE_TEST_SUITE_P(Runtimes, FaultRecoveryTest,
+                         ::testing::Values(core::TransportMode::kSim,
+                                           core::TransportMode::kThreaded),
+                         mode_name);
 
 }  // namespace
 }  // namespace mendel

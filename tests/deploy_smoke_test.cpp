@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -124,6 +125,21 @@ void expect_hits_subset(const core::QueryOutcome& outcome,
   }
 }
 
+// A negative --arena-budget used to wrap to SIZE_MAX bytes, which the
+// block store then rounded down to its tightest floor; it is a usage
+// error (exit 2) before the daemon binds anything. The timeout turns a
+// daemon that accepted the flag and kept serving into a failure (124).
+TEST(DeploySmoke, NegativeArenaBudgetIsAUsageError) {
+  const std::string command =
+      "timeout 10 " + std::string(MENDEL_NODE_BIN) +
+      " --nodes 0 --endpoints unix:" +
+      testing::TempDir() + "mendel_smoke_unused.sock --arena-budget -1" +
+      " 2>/dev/null";
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << command;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+}
+
 TEST(DeploySmoke, TwoDaemonClusterParityKillRestartHeal) {
   const auto store = workload::generate_database(spec());
   const auto queries = probes(store);
@@ -156,8 +172,8 @@ TEST(DeploySmoke, TwoDaemonClusterParityKillRestartHeal) {
   options.runtime.socket.endpoints = endpoints;
   options.runtime.socket.heartbeat_interval = 0.1;
   options.runtime.socket.heartbeat_timeout = 0.6;
-  options.runtime.socket.query_timeout = 5.0;
-  options.runtime.socket.settle_timeout = 10.0;
+  options.runtime.query_timeout = 5.0;
+  options.runtime.settle_timeout = 10.0;
   options.runtime.socket.connect_timeout = 15.0;
   core::Client client(options);
   client.index(store);
@@ -196,14 +212,14 @@ TEST(DeploySmoke, TwoDaemonClusterParityKillRestartHeal) {
   // The heartbeat monitor notices the silent peer without any manual
   // fail_node (both of daemon B's nodes share its connection).
   const auto hb_deadline = std::chrono::steady_clock::now() + 10s;
-  while ((!client.socket_transport().node_down(2) ||
-          !client.socket_transport().node_down(3)) &&
+  const net::FaultInjector& faults = client.fault_injector();
+  while ((!faults.node_down(2) || !faults.node_down(3)) &&
          std::chrono::steady_clock::now() < hb_deadline) {
     std::this_thread::sleep_for(10ms);
   }
-  EXPECT_TRUE(client.socket_transport().node_down(2));
-  EXPECT_TRUE(client.socket_transport().node_down(3));
-  EXPECT_GE(client.socket_transport().heartbeats_missed(), 1u);
+  EXPECT_TRUE(faults.node_down(2));
+  EXPECT_TRUE(faults.node_down(3));
+  EXPECT_GE(client.metrics().counter("net.heartbeats_missed"), 1u);
 
   // Make the down state explicit membership (mirrors the operator flow:
   // monitor alerts, operator or supervisor confirms the failure).
@@ -235,7 +251,7 @@ TEST(DeploySmoke, TwoDaemonClusterParityKillRestartHeal) {
   }
   RecordProperty("queries_with_full_recall_after_restart",
                  static_cast<int>(intact));
-  EXPECT_EQ(client.socket_transport().handler_errors().size(), 0u);
+  EXPECT_EQ(client.metrics().counter("net.handler_errors"), 0u);
 }
 
 }  // namespace

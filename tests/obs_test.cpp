@@ -5,6 +5,11 @@
 // (the TSan CI job runs this binary).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -299,6 +304,55 @@ TEST(Traffic, PerQueryAttributionIsExactUnderConcurrency) {
 
 // ---------- unified stats under concurrency ----------
 
+core::NodeCounters summed_node_counters(const core::Client& client) {
+  core::NodeCounters total;
+  for (net::NodeId id = 0; id < client.node_count(); ++id) {
+    const core::NodeCounters& c = client.node(id).counters();
+    total.nn_searches += c.nn_searches;
+    total.nn_cache_hits += c.nn_cache_hits;
+    total.nn_cache_misses += c.nn_cache_misses;
+    total.fetch_ranges_coalesced += c.fetch_ranges_coalesced;
+    total.anchors_pruned += c.anchors_pruned;
+  }
+  return total;
+}
+
+// Dashboards and the schema lint see one name set whatever the runtime:
+// every net.* counter is exported (zero where a runtime cannot incur it),
+// and both exports pass tools/check_metrics_schema.
+TEST(Metrics, SameNameSetOnEveryRuntimeAndSchemaClean) {
+  const auto store = workload::generate_database(obs_spec());
+  std::vector<std::set<std::string>> name_sets;
+  for (const auto mode :
+       {core::TransportMode::kSim, core::TransportMode::kThreaded}) {
+    const std::string tag =
+        mode == core::TransportMode::kSim ? "sim" : "threaded";
+    core::Client client(obs_options(mode));
+    client.index(store);
+    EXPECT_TRUE(client.query(probe_of(store, 2)).completed) << tag;
+    client.settle();
+    const auto snap = client.metrics();
+
+    std::set<std::string> names;
+    for (const auto& c : snap.counters) names.insert("counter " + c.name);
+    for (const auto& g : snap.gauges) names.insert("gauge " + g.name);
+    for (const auto& h : snap.histograms) names.insert("histogram " + h.name);
+    name_sets.push_back(std::move(names));
+
+    const std::string path = testing::TempDir() + "mendel_metrics_" +
+                             std::to_string(::getpid()) + "_" + tag + ".json";
+    {
+      std::ofstream out(path);
+      out << snap.to_json();
+    }
+    const std::string command = std::string(MENDEL_SCHEMA_CHECK_BIN) + " " +
+                                path + " " + MENDEL_METRICS_SCHEMA;
+    EXPECT_EQ(std::system(command.c_str()), 0) << tag << ": " << command;
+    std::remove(path.c_str());
+  }
+  EXPECT_EQ(name_sets[0], name_sets[1]);
+}
+
 TEST(Metrics, ConsistentUnderConcurrentBatch) {
   const auto store = workload::generate_database(obs_spec());
   auto options = obs_options(core::TransportMode::kThreaded);
@@ -312,6 +366,8 @@ TEST(Metrics, ConsistentUnderConcurrentBatch) {
   }
   const auto outcomes = client.query_batch(queries);
   for (const auto& outcome : outcomes) EXPECT_TRUE(outcome.completed);
+  // wait() returns as the reply lands; the last handlers may still run.
+  client.settle();
 
   const auto snap = client.metrics();
   EXPECT_EQ(snap.counter("client.queries_submitted"), queries.size());
@@ -321,8 +377,8 @@ TEST(Metrics, ConsistentUnderConcurrentBatch) {
       snap.histogram("client.turnaround_seconds");
   ASSERT_NE(turnaround, nullptr);
   EXPECT_EQ(turnaround->count, queries.size());
-  // The registry view agrees with the deprecated NodeCounters totals.
-  const auto totals = client.total_counters();
+  // The export agrees with the per-node NodeCounters it folds in.
+  const auto totals = summed_node_counters(client);
   EXPECT_EQ(snap.counter("node.nn_searches"), totals.nn_searches);
   EXPECT_EQ(snap.counter("node.nn_cache_hits"), totals.nn_cache_hits);
   EXPECT_EQ(snap.counter("node.nn_cache_misses"), totals.nn_cache_misses);
@@ -379,8 +435,8 @@ TEST(Metrics, ExtensionPipelineCountersAndHistograms) {
   const auto snap = client.metrics();
   EXPECT_GT(snap.counter("fetch.ranges_coalesced"), 0u);
   EXPECT_GT(snap.counter("extend.anchors_pruned"), 0u);
-  // The registry view agrees with the NodeCounters totals.
-  const auto totals = client.total_counters();
+  // The export agrees with the per-node NodeCounters it folds in.
+  const auto totals = summed_node_counters(client);
   EXPECT_EQ(snap.counter("node.fetch_ranges_coalesced"),
             totals.fetch_ranges_coalesced);
   EXPECT_EQ(snap.counter("node.anchors_pruned"), totals.anchors_pruned);

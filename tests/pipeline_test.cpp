@@ -339,14 +339,14 @@ TEST(Pipeline, SilentNodeFailureYieldsIncompleteOutcomeAndRecovers) {
 
   // Drop node 2's traffic WITHOUT updating membership: fan-ins that await
   // it can never complete, which is the stall the cancel protocol handles.
-  client.transport().fail_node(2);
+  client.fault_injector().fail_node(2);
   const auto stalled = client.query(probe_of(store, 3, 10, 120));
   EXPECT_FALSE(stalled.completed);
   EXPECT_TRUE(stalled.hits.empty());
 
   // After healing, subsequent queries work and no stale pending state from
   // the aborted query interferes.
-  client.transport().heal_node(2);
+  client.fault_injector().heal_node(2);
   const auto recovered = client.query(probe_of(store, 3, 10, 120));
   EXPECT_TRUE(recovered.completed);
   EXPECT_TRUE(hits_contain(recovered.hits, 3));
@@ -360,16 +360,16 @@ TEST(Pipeline, CountersReflectWork) {
   const auto report = client.index(store);
   EXPECT_EQ(report.sequences, store.size());
 
-  const auto counters_before = client.total_counters();
-  EXPECT_EQ(counters_before.blocks_inserted, report.blocks);
+  const auto before = client.metrics();
+  EXPECT_EQ(before.counter("node.blocks_inserted"), report.blocks);
   // Sequence replication 1: every sequence stored exactly once.
-  EXPECT_EQ(counters_before.sequences_stored, store.size());
+  EXPECT_EQ(before.counter("node.sequences_stored"), store.size());
 
   client.query(probe_of(store, 1, 0, 100));
-  const auto counters_after = client.total_counters();
-  EXPECT_EQ(counters_after.queries_coordinated, 1u);
-  EXPECT_GT(counters_after.group_queries, 0u);
-  EXPECT_GT(counters_after.nn_searches, 0u);
+  const auto after = client.metrics();
+  EXPECT_EQ(after.counter("node.queries_coordinated"), 1u);
+  EXPECT_GT(after.counter("node.group_queries"), 0u);
+  EXPECT_GT(after.counter("node.nn_searches"), 0u);
 }
 
 TEST(Pipeline, BlockCountsSumToReport) {

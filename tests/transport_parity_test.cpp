@@ -7,8 +7,11 @@
 
 #include <atomic>
 #include <future>
+#include <memory>
+#include <string>
 #include <thread>
 
+#include "src/hash/sha1.h"
 #include "src/mendel/client.h"
 #include "src/mendel/indexer.h"
 #include "src/mendel/node_host.h"
@@ -184,7 +187,7 @@ TEST(TransportParity, ConcurrentBatchMatchesSimBatch) {
     EXPECT_TRUE(threaded_outcomes[i].completed);
     expect_same_hits(sim_outcomes[i], threaded_outcomes[i]);
   }
-  EXPECT_EQ(threaded_client.thread_transport().handler_errors().size(), 0u);
+  EXPECT_EQ(threaded_client.metrics().counter("net.handler_errors"), 0u);
 }
 
 TEST(TransportParity, ManyThreadsDrivingSubmitWaitAgreeWithSim) {
@@ -256,7 +259,7 @@ TEST(TransportParity, DnaBatchMatchesAcrossTransports) {
     ASSERT_FALSE(sim_outcomes[i].hits.empty()) << "query " << i;
     expect_same_hits(sim_outcomes[i], threaded_outcomes[i]);
   }
-  EXPECT_EQ(threaded_client.thread_transport().handler_errors().size(), 0u);
+  EXPECT_EQ(threaded_client.metrics().counter("net.handler_errors"), 0u);
 }
 
 // In-process socket cluster: "daemon" transports hosting the storage
@@ -332,7 +335,7 @@ void run_socket_parity(seq::Alphabet alphabet, const std::string& tag) {
     ASSERT_FALSE(sim_outcomes[i].hits.empty()) << "query " << i;
     expect_same_hits(sim_outcomes[i], socket_outcomes[i]);
   }
-  EXPECT_EQ(socket_client.socket_transport().handler_errors().size(), 0u);
+  EXPECT_EQ(socket_client.metrics().counter("net.handler_errors"), 0u);
   for (const auto& transport : cluster.transports) {
     EXPECT_EQ(transport->handler_errors().size(), 0u);
     EXPECT_EQ(transport->decode_errors(), 0u);
@@ -349,6 +352,158 @@ TEST(TransportParity, SocketClusterMatchesSimProtein) {
 TEST(TransportParity, SocketClusterMatchesSimDna) {
   run_socket_parity(seq::Alphabet::kDna, "dna");
 }
+
+// A node that was down while sequences were added missed that round's
+// kSetResidues; heal_node must re-send it, or the healed node keeps
+// ranking with E-values over the old database size. Checked on the
+// simulator and against socket daemons that stayed alive through the
+// outage, which ignore the heal's same-generation re-init.
+TEST(TransportParity, HealResendsResiduesMissedWhileDown) {
+  const auto store = workload::generate_database(spec());
+  auto extra_spec = spec();
+  extra_spec.families = 1;
+  extra_spec.background_sequences = 2;
+  extra_spec.seed = 78;
+  const auto extra = workload::generate_database(extra_spec);
+  const std::uint64_t expected =
+      store.total_residues() + extra.total_residues();
+  constexpr net::NodeId kVictim = 4;
+  const auto fail_add_heal = [&](core::Client& client) {
+    client.index(store);
+    client.fail_node(kVictim);
+    client.add_sequences(extra);
+    client.heal_node(kVictim);
+  };
+
+  core::Client sim_client(parity_options(core::TransportMode::kSim));
+  fail_add_heal(sim_client);
+  for (net::NodeId id = 0; id < sim_client.node_count(); ++id) {
+    EXPECT_EQ(sim_client.node(id).database_residues(), expected)
+        << "sim node " << id;
+  }
+
+  SocketCluster cluster("heal", 6, 3);
+  auto options = parity_options(core::TransportMode::kSocket);
+  options.runtime.socket.endpoints = cluster.endpoints;
+  core::Client socket_client(options);
+  fail_add_heal(socket_client);
+  // Joining the daemons' dispatch threads orders their last handler
+  // before the reads below.
+  for (auto& transport : cluster.transports) transport->stop();
+  for (net::NodeId id = 0; id < 6; ++id) {
+    const core::StorageNode* node = cluster.hosts[id % 3]->node(id);
+    ASSERT_NE(node, nullptr) << "socket node " << id;
+    EXPECT_EQ(node->database_residues(), expected) << "socket node " << id;
+  }
+}
+
+// The node a query with this id enters at: the client's deterministic
+// per-query entry rotation.
+net::NodeId entry_node(std::uint64_t query_id, std::uint32_t total_nodes) {
+  return static_cast<net::NodeId>(
+      hashing::sha1_prefix64("entry" + std::to_string(query_id)) %
+      total_nodes);
+}
+
+// A down node hears no membership change, so heal_node must hand it the
+// whole current view. Overlapping failures show what goes wrong without
+// it: after fail(B), fail(A), heal(B), node B still believes A is up and
+// routes to it (its queries stall), and after heal(A), node A still
+// believes B is down and leaves it out of every fan-out and fetch.
+class OverlappingFailureTest
+    : public ::testing::TestWithParam<core::TransportMode> {};
+
+std::string runtime_name(
+    const ::testing::TestParamInfo<core::TransportMode>& info) {
+  switch (info.param) {
+    case core::TransportMode::kSim: return "Sim";
+    case core::TransportMode::kThreaded: return "Threaded";
+    case core::TransportMode::kSocket: return "Socket";
+  }
+  return "Unknown";
+}
+
+TEST_P(OverlappingFailureTest, HealedNodesLearnMembershipChangedWhileDown) {
+  const core::TransportMode mode = GetParam();
+  const bool in_process = mode != core::TransportMode::kSocket;
+  const auto store = workload::generate_database(spec());
+  auto options = parity_options(mode);
+  options.topology.replication = 2;
+  options.topology.sequence_replication = 2;
+  std::unique_ptr<SocketCluster> cluster;
+  if (!in_process) {
+    cluster = std::make_unique<SocketCluster>("overlap", 6, 3);
+    options.runtime.socket.endpoints = cluster->endpoints;
+  }
+  core::Client client(options);
+  client.index(store);
+  const std::uint32_t total = client.topology().total_nodes();
+  const net::NodeId a = client.topology().group_nodes(0).front();
+  const net::NodeId b = client.topology().group_nodes(1).front();
+  const auto query = parity_queries(store).front();
+  const auto healthy = client.query(query);
+  ASSERT_TRUE(healthy.completed);
+  ASSERT_FALSE(healthy.hits.empty());
+
+  // Every alive node's view must match the fault injector. In-process
+  // nodes are read after settle(); daemons only once stopped.
+  const auto expect_views_current = [&](auto node_of) {
+    for (net::NodeId id = 0; id < total; ++id) {
+      if (client.fault_injector().node_down(id)) continue;
+      for (net::NodeId peer = 0; peer < total; ++peer) {
+        EXPECT_EQ(node_of(id).is_down(peer),
+                  client.fault_injector().node_down(peer))
+            << "node " << id << "'s view of node " << peer;
+      }
+    }
+  };
+  const auto client_node = [&](net::NodeId id) -> const core::StorageNode& {
+    return client.node(id);
+  };
+  // Submits queries until one has entered at `entry`. Those entering at an
+  // alive node must complete with the healthy hits; one entering at a down
+  // node is dropped and stalls, so only in-process runtimes (which prove
+  // the stall at once) may be asked for this while a node is down.
+  const auto expect_served_through = [&](net::NodeId entry) {
+    bool entered = false;
+    for (int attempt = 0; attempt < 64 && !entered; ++attempt) {
+      const auto ticket = client.submit(query);
+      const net::NodeId at = entry_node(ticket.id, total);
+      entered = at == entry;
+      const auto outcome = client.wait(ticket);
+      if (client.fault_injector().node_down(at)) continue;
+      EXPECT_TRUE(outcome.completed) << "query entering at node " << at;
+      expect_same_hits(healthy, outcome);
+    }
+    EXPECT_TRUE(entered) << "no query entered at node " << entry;
+  };
+
+  client.fail_node(b);
+  client.fail_node(a);
+  client.heal_node(b);
+  if (in_process) {
+    expect_views_current(client_node);
+    expect_served_through(b);
+  }
+  client.heal_node(a);
+  expect_served_through(a);
+  expect_served_through(b);
+  if (in_process) {
+    client.settle();
+    expect_views_current(client_node);
+  } else {
+    for (auto& transport : cluster->transports) transport->stop();
+    expect_views_current([&](net::NodeId id) -> const core::StorageNode& {
+      return *cluster->hosts[id % cluster->hosts.size()]->node(id);
+    });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Runtimes, OverlappingFailureTest,
+                         ::testing::Values(core::TransportMode::kSim,
+                                           core::TransportMode::kThreaded,
+                                           core::TransportMode::kSocket),
+                         runtime_name);
 
 // Arena residency is a memory policy, not a results policy: a clamped
 // resident budget (packed rows spilled through the block store) must
@@ -445,23 +600,25 @@ TEST(TransportParity, PruningMatchesUnprunedExactly) {
       core::Client pruned_client(options);
       pruned_client.index(store);
       const auto pruned = pruned_client.query_batch(queries, params);
-      EXPECT_GT(pruned_client.total_counters().anchors_pruned, 0u);
+      EXPECT_GT(pruned_client.metrics().counter("node.anchors_pruned"), 0u);
 
       auto unpruned_options = options;
       unpruned_options.runtime.prune_extensions = false;
       core::Client unpruned_client(unpruned_options);
       unpruned_client.index(store);
       const auto unpruned = unpruned_client.query_batch(queries, params);
-      EXPECT_EQ(unpruned_client.total_counters().anchors_pruned, 0u);
+      EXPECT_EQ(unpruned_client.metrics().counter("node.anchors_pruned"), 0u);
+      const auto unpruned_gapped =
+          unpruned_client.metrics().counter("node.gapped_extensions");
+      const auto pruned_gapped =
+          pruned_client.metrics().counter("node.gapped_extensions");
 #ifdef MENDEL_CHECKED
       // The checked build's prune audit deliberately extends pruned bins
       // too (to compare against the full ranking), so the work saving is
       // invisible in the gapped counter there.
-      EXPECT_EQ(unpruned_client.total_counters().gapped_extensions,
-                pruned_client.total_counters().gapped_extensions);
+      EXPECT_EQ(unpruned_gapped, pruned_gapped);
 #else
-      EXPECT_GT(unpruned_client.total_counters().gapped_extensions,
-                pruned_client.total_counters().gapped_extensions);
+      EXPECT_GT(unpruned_gapped, pruned_gapped);
 #endif
 
       ASSERT_EQ(pruned.size(), unpruned.size());

@@ -7,11 +7,12 @@
 // Client-produced snapshot must always contain. The check is BIDIRECTIONAL:
 // every required_* name must be present in the export, and every exported
 // name must be declared in the schema (required_* or optional_* — the
-// optional lists hold runtime-dependent entries like the threaded
-// transport's net.handler_errors). Registering a new instrument in code
-// without adding it to the schema is a lint failure, so the schema stays a
-// complete inventory instead of drifting into a lower bound. Exit 0 =
-// valid; any violation prints a diagnostic and exits 1.
+// optional lists are for entries only some deployments export; every
+// runtime exports the same net.* set, so those are required). Registering
+// a new instrument in code without adding it to the schema is a lint
+// failure, so the schema stays a complete inventory instead of drifting
+// into a lower bound. Exit 0 = valid; any violation prints a diagnostic
+// and exits 1.
 #include <algorithm>
 #include <fstream>
 #include <iostream>

@@ -102,8 +102,11 @@ int main(int argc, char** argv) {
     host_options.node_ids = parse_node_ids(flags.str_required("nodes"));
     host_options.search_threads =
         static_cast<unsigned>(flags.integer("search-threads", 0));
+    const long long arena_budget = flags.integer("arena-budget", 0);
+    require(arena_budget >= 0, "--arena-budget must be >= 0, got " +
+                                   std::to_string(arena_budget));
     host_options.arena_resident_budget =
-        static_cast<std::size_t>(flags.integer("arena-budget", 0));
+        static_cast<std::size_t>(arena_budget);
 
     net::SocketOptions socket;
     socket.endpoints = net::endpoints_from_env(
