@@ -52,7 +52,7 @@ class CodecWriter {
 
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    raw({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
   }
 
   // Length-prefixed vector of encodable elements.

@@ -505,6 +505,7 @@ obs::MetricsSnapshot Client::metrics() const {
           {"node.nn_searches", &NodeCounters::nn_searches},
           {"node.nn_cache_hits", &NodeCounters::nn_cache_hits},
           {"node.nn_cache_misses", &NodeCounters::nn_cache_misses},
+          {"node.nn_ball_searches", &NodeCounters::nn_ball_searches},
           {"node.seeds_emitted", &NodeCounters::seeds_emitted},
           {"node.fetches_served", &NodeCounters::fetches_served},
           {"node.group_queries", &NodeCounters::group_queries},

@@ -1,6 +1,7 @@
 #include "src/mendel/storage_node.h"
 
 #include <algorithm>
+#include <cmath>
 #include <tuple>
 
 #include "src/align/banded.h"
@@ -37,6 +38,29 @@ const score::ScoringMatrix& matrix_from_wire(const std::string& name) {
   }
 }
 
+// Calls visit() once for every window at Hamming distance exactly `r` from
+// the probe `variant` holds on entry, substituting codes [0, codes) at
+// positions `from` onwards. Substitutions happen in place in `variant`,
+// which holds the variant during visit() and the probe again on return.
+template <typename Visit>
+void for_each_variant(seq::Code* variant, std::size_t length,
+                      std::size_t from, std::size_t r, seq::Code codes,
+                      Visit& visit) {
+  if (r == 0) {
+    visit();
+    return;
+  }
+  for (std::size_t pos = from; pos + r <= length; ++pos) {
+    const seq::Code original = variant[pos];
+    for (seq::Code c = 0; c < codes; ++c) {
+      if (c == original) continue;
+      variant[pos] = c;
+      for_each_variant(variant, length, pos + 1, r - 1, codes, visit);
+    }
+    variant[pos] = original;
+  }
+}
+
 }  // namespace
 
 StorageNode::StorageNode(net::NodeId id, StorageNodeConfig config)
@@ -69,6 +93,12 @@ StorageNode::StorageNode(net::NodeId id, StorageNodeConfig config)
     }
     arena_.configure(acfg);
   }
+  // A mismatch-indicator metric over every code the node can store makes
+  // window distance a mismatch count, so n-NN can walk the probe's Hamming
+  // neighbourhood through the window index (search_subquery).
+  const score::QuantizedDistance* quantized = config_.distance->quantized();
+  hamming_ball_ = quantized != nullptr && quantized->indicator() &&
+                  config_.distance->alphabet() == config_.alphabet;
   if (config_.metrics != nullptr) {
     // Handles resolved once; the per-message path never touches the
     // registry's name table.
@@ -125,6 +155,7 @@ bool StorageNode::admit_block(BlockRef ref, seq::CodeSpan window,
   bool new_window = false;
   std::tie(ref.slot, new_window) = windows_.find_or_add(window, arena_, append);
   if (new_window) {
+    if (hamming_ball_) first_blocks_.push_back(ref.key());
     fresh.push_back(ref);
   } else {
     postings_.add(ref.slot, ref);
@@ -585,9 +616,65 @@ std::string StorageNode::nn_cache_key(const vpt::Window& window,
   return key;
 }
 
+std::optional<std::vector<StorageNode::NearBlock>>
+StorageNode::hamming_ball_nearest(seq::CodeSpan probe, std::size_t n,
+                                  double cap, vpt::PinSet& pins) const {
+  std::vector<NearBlock> found;
+  if (n == 0) return found;
+  const std::size_t k = probe.size();
+  // Substitutes range over the codes a stored row can hold: a 2-bit arena
+  // holds no ambiguity code, so its variants need none either.
+  const std::size_t cardinality = seq::cardinality(config_.alphabet);
+  const auto codes = static_cast<seq::Code>(
+      arena_.packed()
+          ? std::min(cardinality, std::size_t{1} << arena_.packed_bits())
+          : cardinality);
+  const auto windows = static_cast<double>(tree_.size());
+  std::vector<seq::Code> variant(probe.begin(), probe.end());
+  double layer = 1.0;    // lookups in layer r: C(k, r) (codes - 1)^r
+  double lookups = 0.0;  // through layer r
+  for (std::size_t r = 0; r <= k && static_cast<double>(r) <= cap; ++r) {
+    if (r > 0) {
+      layer = layer * static_cast<double>(k - r + 1) /
+              static_cast<double>(r) * static_cast<double>(codes - 1);
+    }
+    lookups += layer;
+    if (lookups > windows) return std::nullopt;
+    const auto distance = static_cast<double>(r);
+    auto visit = [&] {
+      const std::uint32_t slot =
+          windows_.find({variant.data(), k}, arena_, pins);
+      if (slot == vpt::WindowIndex::kNoSlot) return;
+      const std::uint64_t first = first_blocks_[slot];
+      found.push_back({distance,
+                       {static_cast<seq::SequenceId>(first >> 32),
+                        static_cast<std::uint32_t>(first), slot}});
+      // A run is sorted, so its first n postings hold every other block of
+      // the window that can make the n nearest.
+      const auto more = postings_.extras(slot);
+      for (const BlockRef& posting : more.first(std::min(more.size(), n))) {
+        found.push_back({distance, posting});
+      }
+    };
+    for_each_variant(variant.data(), k, 0, r, codes, visit);
+    if (found.size() >= n) break;
+  }
+  const std::size_t keep = std::min(n, found.size());
+  std::partial_sort(found.begin(), found.begin() + keep, found.end(),
+                    [](const NearBlock& a, const NearBlock& b) {
+                      if (a.distance != b.distance) {
+                        return a.distance < b.distance;
+                      }
+                      return BlockOrder{}(a.block, b.block);
+                    });
+  found.resize(keep);
+  return found;
+}
+
 std::vector<Seed> StorageNode::search_subquery(
     const vpt::Window& window, const QueryParams& params,
-    const score::ScoringMatrix& matrix) const {
+    const score::ScoringMatrix& matrix, bool& by_ball) const {
+  by_ball = false;
   std::vector<Seed> seeds;
   if (tree_.empty()) return seeds;
   // The probe rides in a per-call metric so concurrent subquery searches
@@ -607,10 +694,44 @@ std::vector<Seed> StorageNode::search_subquery(
   const double cap = (1.0 - params.identity) *
                      static_cast<double>(window.size()) *
                      max_residue_distance_;
-  const auto neighbors = tree_.nearest_with(metric, probe_ref, params.n, cap);
+  auto tree_nearest = [&] {
+    std::vector<NearBlock> out;
+    for (const auto& neighbor :
+         tree_.nearest_with(metric, probe_ref, params.n, cap)) {
+      out.push_back({neighbor.distance, *neighbor.item});
+    }
+    return out;
+  };
+  // Engine choice: Hamming nodes look the probe's neighbourhood up in the
+  // window index while that costs fewer lookups than the node holds
+  // windows; everything else, and a NaN cap (which the tree reads as no
+  // cap), searches the vp-tree.
+  std::optional<std::vector<NearBlock>> ball;
+  if (hamming_ball_ && !std::isnan(cap)) {
+    ball = hamming_ball_nearest(probe_span, params.n, cap, pins);
+  }
+  by_ball = ball.has_value();
+#ifdef MENDEL_CHECKED
+  if (by_ball) {
+    const auto tree = tree_nearest();
+    const bool same = std::equal(
+        ball->begin(), ball->end(), tree.begin(), tree.end(),
+        [](const NearBlock& a, const NearBlock& b) {
+          return a.distance == b.distance && a.block.key() == b.block.key() &&
+                 a.block.slot == b.block.slot;
+        });
+    MENDEL_CHECK(same, "node " << id_ << ": Hamming-ball n-NN ("
+                               << ball->size()
+                               << " blocks) differs from the vp-tree's ("
+                               << tree.size() << " blocks), n "
+                               << params.n << ", cap " << cap);
+  }
+#endif
+  const std::vector<NearBlock> nearest =
+      by_ball ? std::move(*ball) : tree_nearest();
   std::vector<seq::Code> decoded(arena_.window_length());
-  for (const auto& neighbor : neighbors) {
-    const BlockRef& block = *neighbor.item;
+  for (const NearBlock& near : nearest) {
+    const BlockRef& block = near.block;
     arena_.copy_row(pins, block.slot, decoded.data());
     const seq::CodeSpan arena_window{decoded.data(), decoded.size()};
     const double identity = score::percent_identity(window, arena_window);
@@ -692,17 +813,21 @@ void StorageNode::on_node_search(const net::Message& message,
   // one). Each task writes its own slot of `fresh`; the join publishes the
   // writes back to the handler thread.
   std::vector<std::vector<Seed>> fresh(count);
+  std::vector<std::uint8_t> by_ball(count, 0);
   auto search_one = [&](std::size_t j) {
     const obs::ScopedTimer subquery_timer(h_subquery_);
     const std::size_t i = misses[j];
+    bool ball = false;
     fresh[i] = search_subquery(request.subqueries[i].window, request.params,
-                               matrix);
+                               matrix, ball);
+    by_ball[i] = ball ? 1 : 0;
   };
   if (config_.search_pool != nullptr && misses.size() > 1) {
     config_.search_pool->parallel_for(misses.size(), search_one);
   } else {
     for (std::size_t j = 0; j < misses.size(); ++j) search_one(j);
   }
+  for (std::size_t i : misses) counters_.nn_ball_searches += by_ball[i];
 
   // Phase 3 (handler thread): emit every subquery's seeds in subquery
   // order — byte-identical to the serial path regardless of pool size or
@@ -1544,6 +1669,7 @@ void StorageNode::on_rebalance(net::Context& ctx) {
     arena_.clear();
     windows_.clear();
     postings_.clear();
+    first_blocks_.clear();
     tree_ = fresh_tree();
     std::size_t admitted = 0;
     auto fresh = admit_blocks(kept, admitted);
@@ -1769,6 +1895,13 @@ bool StorageNode::audit_windows(std::vector<std::string>& out,
                   std::to_string(arena_.size()) + " and the window index " +
                   std::to_string(windows_.size()));
   }
+  // Hamming nodes map every arena slot to its tree item (its first block).
+  const std::size_t firsts = hamming_ball_ ? arena_.size() : 0;
+  if (first_blocks_.size() != firsts) {
+    out.push_back(me + ": the first-block table holds " +
+                  std::to_string(first_blocks_.size()) + " entries for " +
+                  std::to_string(firsts) + " windows");
+  }
   // The postings — tree items plus the repeated windows' runs — are
   // exactly the stored blocks.
   if (block_count() != block_keys_.size()) {
@@ -1792,6 +1925,12 @@ bool StorageNode::audit_windows(std::vector<std::string>& out,
                     " stands for more than one vp-tree item");
     }
     item_at[item.slot] = true;
+    if (item.slot < first_blocks_.size() &&
+        first_blocks_[item.slot] != item.key()) {
+      out.push_back(me + ": the first-block table does not map arena slot " +
+                    std::to_string(item.slot) + " to its vp-tree item " +
+                    ident(item));
+    }
     arena_.copy_row(item.slot, window.data());
     if (windows_.find(window, arena_) != item.slot) {
       out.push_back(me + ": the window index does not map " + ident(item) +

@@ -128,6 +128,9 @@ struct NodeCounters {
   // nn_searches) and the complement that ran a fresh vp-tree search.
   std::uint64_t nn_cache_hits = 0;
   std::uint64_t nn_cache_misses = 0;
+  // Cache misses answered by the Hamming-ball lookup walk instead of a
+  // vp-tree search (mismatch-indicator metrics only; see search_subquery).
+  std::uint64_t nn_ball_searches = 0;
   std::uint64_t seeds_emitted = 0;
   std::uint64_t fetches_served = 0;
   std::uint64_t group_queries = 0;
@@ -215,11 +218,11 @@ class StorageNode final : public net::Actor {
   // Ascending ids of the sequences this shard stores.
   std::vector<seq::SequenceId> stored_sequence_ids() const;
   // Deep node-local audit: local vp-tree structure (balance, occupancy,
-  // mu admissibility), window/posting/arena/dedup-key bookkeeping,
-  // two-tier DHT placement of every stored block (tier 1: the window
-  // re-hashes to this node's group; tier 2: the intra-group ring owners
-  // include this node) and the repository ring homes of every stored
-  // sequence. Returns human-readable violations, at most
+  // mu admissibility), window/posting/arena/first-block/dedup-key
+  // bookkeeping, two-tier DHT placement of every stored block (tier 1:
+  // the window re-hashes to this node's group; tier 2: the intra-group
+  // ring owners include this node) and the repository ring homes of every
+  // stored sequence. Returns human-readable violations, at most
   // `max_violations`; empty = sound.
   // Under MENDEL_CHECKED this runs automatically after rebalance and
   // load (and a delivered-blocks-only variant after every insert batch).
@@ -577,7 +580,8 @@ class StorageNode final : public net::Actor {
   void audit_placement(const BlockRef& ref, seq::CodeSpan window,
                        std::vector<std::string>& out) const;
   // Checks the distinct-window bookkeeping: one tree item, arena row and
-  // window-index entry per window; sorted posting runs filed under their
+  // window-index entry per window (and, on Hamming nodes, a first-block
+  // entry naming the tree item); sorted posting runs filed under their
   // window; and tree items plus postings equal to the dedup key set.
   // False when a violation (or the cap) means audit() must stop here.
   bool audit_windows(std::vector<std::string>& out,
@@ -597,14 +601,30 @@ class StorageNode final : public net::Actor {
   // Reconstitutes the wire-format Block of a stored ref (codec paths).
   Block materialize(const BlockRef& ref) const;
 
-  // One subquery's filtered n-NN search over the local tree. Thread-safe
-  // with respect to other searches (the tree is only read; the probe rides
-  // in a per-call metric, not in the shared probe_ slot). Emitted seeds
-  // carry query_offset = 0 so the result is cacheable across subqueries
-  // and queries that share the window.
+  // One n-NN result: a stored block and its window distance to the probe.
+  struct NearBlock {
+    double distance = 0.0;
+    BlockRef block;
+  };
+  // One subquery's filtered n-NN search. Thread-safe with respect to other
+  // searches (the tree and window index are only read; the probe rides in
+  // a per-call metric, not in the shared probe_ slot). Emitted seeds carry
+  // query_offset = 0 so the result is cacheable across subqueries and
+  // queries that share the window. `by_ball` reports whether the
+  // Hamming-ball walk answered it rather than the vp-tree.
   std::vector<Seed> search_subquery(const vpt::Window& window,
                                     const QueryParams& params,
-                                    const score::ScoringMatrix& matrix) const;
+                                    const score::ScoringMatrix& matrix,
+                                    bool& by_ball) const;
+  // The unique n nearest blocks within `cap` under (distance, sequence,
+  // start), found by looking up the probe's Hamming neighbourhood layer by
+  // layer — radius 0, 1, ... — in the window index, and stopping after the
+  // first complete layer that brings the count to n. nullopt when the next
+  // layer would take more lookups than the node holds distinct windows:
+  // the vp-tree is then the cheaper engine. Mismatch-indicator nodes only.
+  std::optional<std::vector<NearBlock>> hamming_ball_nearest(
+      seq::CodeSpan probe, std::size_t n, double cap,
+      vpt::PinSet& pins) const;
   // Cache key: window codes + every parameter that shapes the seed list.
   static std::string nn_cache_key(const vpt::Window& window,
                                   const QueryParams& params);
@@ -623,6 +643,12 @@ class StorageNode final : public net::Actor {
   vpt::WindowArena arena_;
   vpt::WindowIndex windows_;
   Postings postings_;
+  // Mismatch-indicator (Hamming) nodes answer n-NN through the window
+  // index; only they keep each arena slot's first admitted block (its
+  // vp-tree item, as BlockRef::key()), which the lookups cannot reach
+  // through the tree.
+  bool hamming_ball_ = false;
+  std::vector<std::uint64_t> first_blocks_;
   seq::CodeSpan probe_;
   Tree tree_;
   // Identities of stored blocks (BlockRef::key()) so re-deliveries during

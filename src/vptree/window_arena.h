@@ -277,6 +277,24 @@ class WindowArena {
     return std::memcmp(codes.data(), window.data(), window.size()) == 0;
   }
 
+  // row_equals without the store lock: pins the row into `pins` and
+  // compares it in place, packed rows code by code.
+  bool row_equals(PinSet& pins, std::uint32_t slot,
+                  seq::CodeSpan window) const {
+    if (window.size() != window_length_) return false;
+    pin_rows(pins, &slot, 1);
+    const std::uint8_t* row = row_data(slot);
+    if (packed_bits_ == 0) {
+      return std::memcmp(row, window.data(), window.size()) == 0;
+    }
+    const unsigned mask = (1u << packed_bits_) - 1;
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      const std::size_t bit = i * packed_bits_;
+      if (((row[bit >> 3] >> (bit & 7)) & mask) != window[i]) return false;
+    }
+    return true;
+  }
+
   // Layout-contract check for audits: base alignment and row padding
   // geometry (content-level padding is row_roundtrip_ok()).
   bool layout_ok() const {

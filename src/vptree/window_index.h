@@ -7,7 +7,9 @@
 // the other blocks that share it beside the tree. Two structures do that:
 //
 //   WindowIndex    window codes -> arena slot, so admission finds a
-//                  window's row before appending a duplicate;
+//                  window's row before appending a duplicate (and a
+//                  Hamming-metric search finds a probe's neighbours by
+//                  looking up its mismatch variants);
 //   PostingLists   slot -> the window's blocks beyond its first (the tree
 //                  item), one contiguous run per repeated window, kept in
 //                  ascending tie order so an n-NN heap can stop offering
@@ -46,7 +48,8 @@ class WindowIndex {
     const std::size_t mask = entries_.size() - 1;
     std::size_t i = tag & mask;
     for (; entries_[i].slot != kNoSlot; i = (i + 1) & mask) {
-      if (matches(entries_[i], tag, window, arena)) {
+      if (entries_[i].tag == tag &&
+          arena.row_equals(entries_[i].slot, window)) {
         return {entries_[i].slot, false};
       }
     }
@@ -65,14 +68,19 @@ class WindowIndex {
 
   // The slot of `window`, or kNoSlot.
   std::uint32_t find(seq::CodeSpan window, const WindowArena& arena) const {
-    if (entries_.empty()) return kNoSlot;
-    const std::uint32_t tag = tag_of(window);
-    const std::size_t mask = entries_.size() - 1;
-    for (std::size_t i = tag & mask; entries_[i].slot != kNoSlot;
-         i = (i + 1) & mask) {
-      if (matches(entries_[i], tag, window, arena)) return entries_[i].slot;
-    }
-    return kNoSlot;
+    return find_if(window, [&](std::uint32_t slot) {
+      return arena.row_equals(slot, window);
+    });
+  }
+
+  // find() inside a search: tag matches are confirmed through the search's
+  // pin set, so spilled rows are read in place instead of copied under the
+  // store lock.
+  std::uint32_t find(seq::CodeSpan window, const WindowArena& arena,
+                     PinSet& pins) const {
+    return find_if(window, [&](std::uint32_t slot) {
+      return arena.row_equals(pins, slot, window);
+    });
   }
 
   std::size_t size() const { return size_; }
@@ -116,9 +124,20 @@ class WindowIndex {
     return static_cast<std::uint32_t>(h ^ (h >> 32));
   }
 
-  static bool matches(const Entry& e, std::uint32_t tag, seq::CodeSpan window,
-                      const WindowArena& arena) {
-    return e.tag == tag && arena.row_equals(e.slot, window);
+  // The slot of the entry whose tag matches `window`'s and whose row
+  // `same(slot)` confirms, or kNoSlot.
+  template <typename Same>
+  std::uint32_t find_if(seq::CodeSpan window, Same&& same) const {
+    if (entries_.empty()) return kNoSlot;
+    const std::uint32_t tag = tag_of(window);
+    const std::size_t mask = entries_.size() - 1;
+    for (std::size_t i = tag & mask; entries_[i].slot != kNoSlot;
+         i = (i + 1) & mask) {
+      if (entries_[i].tag == tag && same(entries_[i].slot)) {
+        return entries_[i].slot;
+      }
+    }
+    return kNoSlot;
   }
 
   void grow() {

@@ -10,13 +10,19 @@
 namespace mendel {
 namespace {
 
+// No padding bytes: gtest names each case after the object's bytes
+// ("# GetParam() = 32-byte object <...>"), and padding would make the
+// listed test ids change from build to build.
 struct Shape {
   std::uint32_t groups;
   std::uint32_t per_group;
   std::size_t window;
-  std::uint32_t stride;        // query param k
+  std::size_t stride;  // query param k
   std::size_t cutoff_depth;
 };
+static_assert(sizeof(Shape) == 2 * sizeof(std::uint32_t) +
+                                   3 * sizeof(std::size_t),
+              "Shape must have no padding");
 
 // gtest needs printable params for test names.
 std::string shape_name(const ::testing::TestParamInfo<Shape>& info) {
@@ -51,7 +57,7 @@ TEST_P(RecallSweepTest, MutatedProbesRecoverTheirOrigins) {
   client.index(store);
 
   core::QueryParams params;
-  params.k = shape.stride;
+  params.k = static_cast<std::uint32_t>(shape.stride);
 
   Rng rng(spec.seed ^ 0x5eed);
   std::size_t recovered = 0;

@@ -311,6 +311,7 @@ core::NodeCounters summed_node_counters(const core::Client& client) {
     total.nn_searches += c.nn_searches;
     total.nn_cache_hits += c.nn_cache_hits;
     total.nn_cache_misses += c.nn_cache_misses;
+    total.nn_ball_searches += c.nn_ball_searches;
     total.fetch_ranges_coalesced += c.fetch_ranges_coalesced;
     total.anchors_pruned += c.anchors_pruned;
   }
@@ -382,6 +383,9 @@ TEST(Metrics, ConsistentUnderConcurrentBatch) {
   EXPECT_EQ(snap.counter("node.nn_searches"), totals.nn_searches);
   EXPECT_EQ(snap.counter("node.nn_cache_hits"), totals.nn_cache_hits);
   EXPECT_EQ(snap.counter("node.nn_cache_misses"), totals.nn_cache_misses);
+  // The BLOSUM-derived protein metric never takes the Hamming-ball path.
+  EXPECT_EQ(snap.counter("node.nn_ball_searches"), 0u);
+  EXPECT_EQ(totals.nn_ball_searches, 0u);
   // Pipeline-stage histograms saw real work.
   EXPECT_GT(snap.histogram("node.handler_seconds")->count, 0u);
   EXPECT_GT(snap.histogram("node.search_seconds")->count, 0u);
@@ -392,6 +396,34 @@ TEST(Metrics, ConsistentUnderConcurrentBatch) {
   const obs::Json doc = obs::Json::parse(snap.to_json());
   EXPECT_EQ(doc.find("counters")->find("client.queries_submitted")->number(),
             static_cast<double>(queries.size()));
+}
+
+// DNA nodes answer n-NN by window-index lookups; the export counts those
+// searches, summed over the nodes, including ones run on the search pool.
+TEST(Metrics, HammingBallSearchesExportedOnDna) {
+  workload::DatabaseSpec spec = obs_spec();
+  spec.alphabet = seq::Alphabet::kDna;
+  const auto store = workload::generate_database(spec);
+  auto options = obs_options(core::TransportMode::kThreaded);
+  options.runtime.search_threads = 2;
+  core::Client client(options);
+  client.index(store);
+  core::QueryParams params;
+  params.matrix = "DNA";
+  params.n = 16;
+  // Cap 1 at k = 8: 25 lookups, within the budget of these small shards.
+  params.identity = 0.875;
+  params.c_score = 0.4;
+  for (std::size_t donor : {1u, 4u, 7u}) {
+    EXPECT_TRUE(client.query(probe_of(store, donor), params).completed);
+  }
+  client.settle();
+
+  const auto snap = client.metrics();
+  const auto totals = summed_node_counters(client);
+  EXPECT_GT(totals.nn_ball_searches, 0u);
+  EXPECT_LE(totals.nn_ball_searches, totals.nn_cache_misses);
+  EXPECT_EQ(snap.counter("node.nn_ball_searches"), totals.nn_ball_searches);
 }
 
 TEST(Metrics, ExtensionPipelineCountersAndHistograms) {

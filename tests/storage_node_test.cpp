@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -35,6 +37,51 @@ struct StorageNodeTestPeer {
   static void add_unkeyed_posting(StorageNode& node, seq::SequenceId sequence,
                                   std::uint32_t start, std::uint32_t slot) {
     node.postings_.add(slot, {sequence, start, slot});
+  }
+  // Renames the first block recorded for arena slot `slot`.
+  static void corrupt_first_block(StorageNode& node, std::uint32_t slot) {
+    node.first_blocks_.at(slot) ^= 1;
+  }
+
+  static bool hamming_ball(const StorageNode& node) {
+    return node.hamming_ball_;
+  }
+  static unsigned packed_bits(const StorageNode& node) {
+    return node.arena_.packed_bits();
+  }
+
+  // An n-NN list as (distance, sequence, start) triples.
+  using Ranked =
+      std::vector<std::tuple<double, seq::SequenceId, std::uint32_t>>;
+  // The vp-tree's n nearest blocks to `probe` within `cap`.
+  static Ranked tree_nn(const StorageNode& node, const vpt::Window& probe,
+                        std::size_t n, double cap) {
+    const seq::CodeSpan span(probe);
+    auto pins = node.arena_.pin_set();
+    const StorageNode::BlockRefMetric metric{
+        node.config_.distance, &node.arena_, &node.postings_, &span, &pins};
+    const StorageNode::BlockRef probe_ref{0, 0,
+                                          StorageNode::BlockRef::kProbeSlot};
+    Ranked out;
+    for (const auto& near :
+         node.tree_.nearest_with(metric, probe_ref, n, cap)) {
+      out.emplace_back(near.distance, near.item->sequence, near.item->start);
+    }
+    return out;
+  }
+  // The Hamming-ball walk's list, or nullopt where it leaves the search to
+  // the vp-tree. Hamming nodes only.
+  static std::optional<Ranked> ball_nn(const StorageNode& node,
+                                       const vpt::Window& probe,
+                                       std::size_t n, double cap) {
+    auto pins = node.arena_.pin_set();
+    const auto nearest = node.hamming_ball_nearest(probe, n, cap, pins);
+    if (!nearest) return std::nullopt;
+    Ranked out;
+    for (const auto& near : *nearest) {
+      out.emplace_back(near.distance, near.block.sequence, near.block.start);
+    }
+    return out;
   }
 };
 
@@ -664,7 +711,7 @@ seq::SequenceStore low_complexity_store() {
 // node 0, so the audit's placement checks hold.
 struct DnaShard {
   static constexpr std::size_t kWindow = 8;
-  seq::SequenceStore store = low_complexity_store();
+  seq::SequenceStore store;
   cluster::Topology topology{{.num_groups = 1, .nodes_per_group = 1}};
   const score::DistanceMatrix& distance =
       score::default_distance(seq::Alphabet::kDna);
@@ -679,7 +726,10 @@ struct DnaShard {
     return indexer.build_prefix_tree(store, {.cutoff_depth = 2});
   }
 
-  DnaShard() {
+  DnaShard() : DnaShard(low_complexity_store()) {}
+
+  explicit DnaShard(seq::SequenceStore sequences)
+      : store(std::move(sequences)) {
     topology.bind_prefixes(prefix_tree.leaf_prefixes());
     for (const auto& sequence : store) {
       for (Block& block : make_blocks(sequence, kWindow)) {
@@ -730,17 +780,17 @@ struct DnaShard {
   }
 };
 
-// One node_search request over `probes` with every filter open, so the
-// reply is the raw n-NN list of each probe: (sequence, start) per seed,
-// split by subquery.
+// One node_search request over `probes` with the c-score filter open, so
+// the reply is the n-NN list of each probe that passes `identity` (every
+// one at the default 0): (sequence, start) per seed, split by subquery.
 using Hit = std::pair<seq::SequenceId, std::uint32_t>;
 std::vector<std::vector<Hit>> node_nn(SoloNode& solo,
                                       const std::vector<vpt::Window>& probes,
-                                      std::uint32_t n) {
+                                      std::uint32_t n, double identity = 0.0) {
   NodeSearchPayload search;
   search.params.matrix = "DNA";
   search.params.n = n;
-  search.params.identity = 0.0;
+  search.params.identity = identity;
   search.params.c_score = std::numeric_limits<double>::lowest();
   for (std::size_t i = 0; i < probes.size(); ++i) {
     search.subqueries.push_back({static_cast<std::uint32_t>(i), probes[i]});
@@ -1013,6 +1063,266 @@ TEST(StorageNode, AuditFlagsPostingKeyMismatch) {
   const auto violations = solo.node.audit();
   EXPECT_TRUE(mentions(violations, "block postings but the dedup key set"));
   EXPECT_TRUE(mentions(violations, "missing from the dedup key set"));
+}
+
+// --- Hamming-ball n-NN ------------------------------------------------------
+
+// low_complexity_store() plus random sequence, so a node holds several
+// thousand distinct windows and the lookup walk reaches radius 3 within
+// its budget. `with_n` adds ambiguity bases, single and in runs, which
+// widen a 2-bit arena to 4 bits.
+seq::SequenceStore mixed_store(bool with_n) {
+  seq::SequenceStore store = low_complexity_store();
+  Rng rng(with_n ? 0x4E4E : 0xACE);
+  const std::string bases = with_n ? "ACGTACGTACGTN" : "ACGT";
+  for (std::size_t i = 0; i < 40; ++i) {
+    std::string s;
+    for (std::size_t j = 0; j < 150; ++j) s += bases[rng.below(bases.size())];
+    if (with_n && i % 6 == 0) s.replace(40, 9, "NNNNNNNNN");
+    store.add(seq::Sequence(seq::Alphabet::kDna, "mx" + std::to_string(i),
+                            seq::encode_string(seq::Alphabet::kDna, s)));
+  }
+  return store;
+}
+
+// DnaShard probes plus ones holding N: one N in a repeated window, N in a
+// random stored window, and the all-N window.
+std::vector<vpt::Window> hamming_probes(const DnaShard& shard) {
+  auto out = shard.probes();
+  for (const char* text : {"AAAANAAA", "NNNNNNNN", "ACACNCAC"}) {
+    out.push_back(seq::encode_string(seq::Alphabet::kDna, text));
+  }
+  Rng rng(0x7AB);
+  for (int i = 0; i < 4; ++i) {
+    vpt::Window w = shard.blocks[rng.below(shard.blocks.size())].window;
+    w[rng.below(w.size())] = seq::kDnaN;
+    out.push_back(std::move(w));
+  }
+  return out;
+}
+
+// Identity filters and the radius caps they give at k = 8: 1 -> 0,
+// 0.875 -> 1, 0.625 -> exactly 3, 0.6 -> 3.2, 1.5 -> negative, and 0 ->
+// 8, which a large n drives past the lookup budget.
+constexpr std::array<double, 6> kBallIdentities = {1.0, 0.875, 0.625,
+                                                   0.6, 1.5,   0.0};
+// n = 100000 exceeds every block within any cap.
+constexpr std::array<std::size_t, 5> kBallNs = {0, 1, 3, 16, 100000};
+
+double cap_of(double identity) {
+  return (1.0 - identity) * static_cast<double>(DnaShard::kWindow);
+}
+
+// What the engine checks below saw.
+struct EngineTally {
+  std::size_t ball = 0;        // searches the lookup walk answered
+  std::size_t fallback = 0;    // searches it left to the vp-tree
+  std::size_t straddles = 0;   // ball answers whose n-th block ties the next
+  std::size_t short_ball = 0;  // ball answers with fewer than n blocks
+};
+
+// Both engines against brute force over `stored`, for every probe and
+// every (identity, n) case: the vp-tree always, the Hamming-ball walk
+// wherever it answers, and the walk must leave identity 0 with the
+// largest n to the tree.
+void expect_engines_agree(const StorageNode& node,
+                          const std::vector<Block>& stored,
+                          const std::vector<vpt::Window>& probes,
+                          const std::string& label, EngineTally& tally) {
+  using Peer = StorageNodeTestPeer;
+  ASSERT_TRUE(Peer::hamming_ball(node)) << label;
+  const auto& distance = score::default_distance(seq::Alphabet::kDna);
+  for (std::size_t p = 0; p < probes.size(); ++p) {
+    Peer::Ranked all;
+    for (const Block& block : stored) {
+      all.emplace_back(
+          score::window_distance(distance, probes[p], block.window),
+          block.sequence, block.start);
+    }
+    std::sort(all.begin(), all.end());
+    for (const double identity : kBallIdentities) {
+      const double cap = cap_of(identity);
+      const auto within = static_cast<std::size_t>(
+          std::count_if(all.begin(), all.end(), [&](const auto& entry) {
+            return std::get<0>(entry) <= cap;
+          }));
+      for (const std::size_t n : kBallNs) {
+        const std::string where = label + ", probe " + std::to_string(p) +
+                                  ", identity " + std::to_string(identity) +
+                                  ", n " + std::to_string(n);
+        const Peer::Ranked want(all.begin(),
+                                all.begin() + std::min(n, within));
+        EXPECT_EQ(Peer::tree_nn(node, probes[p], n, cap), want) << where;
+        const auto ball = Peer::ball_nn(node, probes[p], n, cap);
+        if (identity == 0.0 && n == kBallNs.back()) {
+          EXPECT_FALSE(ball.has_value()) << where;
+        }
+        if (!ball) {
+          ++tally.fallback;
+          continue;
+        }
+        ++tally.ball;
+        EXPECT_EQ(*ball, want) << where;
+        if (n > 0 && n < within &&
+            std::get<0>(all[n - 1]) == std::get<0>(all[n])) {
+          ++tally.straddles;
+        }
+        if (within < n) ++tally.short_ball;
+      }
+    }
+  }
+}
+
+// On a Hamming (DNA) node the n-NN lookup walk returns exactly the
+// vp-tree's list and a brute-force (distance, sequence, start) list — on
+// 2-bit arenas and on 4-bit arenas that store N windows, heap and
+// spilled, for probes with and without N, integer and fractional caps,
+// boundary tie classes, n past every block within the cap, n = 0, an
+// identity above 1, and identity 0, which exhausts the lookup budget.
+// Node search replies match the filtered oracle, and a restored snapshot
+// answers the same.
+TEST(StorageNode, HammingBallMatchesTreeAndBruteForce) {
+  for (const bool with_n : {false, true}) {
+    const DnaShard shard(mixed_store(with_n));
+    const auto probes = hamming_probes(shard);
+    for (const bool spill : {false, true}) {
+      const std::string label = std::string(with_n ? "4-bit" : "2-bit") +
+                                (spill ? " spilled" : " heap");
+      auto config = shard.config();
+      config.nn_cache_capacity = 0;
+      if (spill) {
+        config.arena_resident_budget = 16384;
+        config.arena_segment_bytes = 4096;
+      }
+      SoloNode solo(config);
+      for (std::size_t b = 0; b < 3; ++b) {
+        solo.deliver(kInsertBlocks, shard.batch(b, 3));
+      }
+      ASSERT_EQ(solo.node.block_count(), shard.blocks.size()) << label;
+      EXPECT_EQ(StorageNodeTestPeer::packed_bits(solo.node), with_n ? 4u : 2u)
+          << label;
+      EXPECT_TRUE(solo.node.audit().empty()) << solo.node.audit().front();
+
+      EngineTally tally;
+      expect_engines_agree(solo.node, shard.blocks, probes, label, tally);
+      EXPECT_GT(tally.ball, 0u) << label;
+      EXPECT_GT(tally.fallback, 0u) << label;
+      EXPECT_GT(tally.straddles, 0u) << label;
+      EXPECT_GT(tally.short_ball, 0u) << label;
+
+      // Through node_search: the same lists, cut by the identity filter.
+      const std::uint64_t searches_before = solo.node.counters().nn_searches;
+      for (const double identity : kBallIdentities) {
+        for (const std::size_t n : {std::size_t{0}, std::size_t{16},
+                                    kBallNs.back()}) {
+          const auto got = node_nn(solo, probes,
+                                   static_cast<std::uint32_t>(n), identity);
+          for (std::size_t p = 0; p < probes.size(); ++p) {
+            std::vector<Hit> want;
+            const auto tree = StorageNodeTestPeer::tree_nn(
+                solo.node, probes[p], n, cap_of(identity));
+            for (const auto& [d, sequence, start] : tree) {
+              const double kept =
+                  1.0 - d / static_cast<double>(DnaShard::kWindow);
+              if (kept >= identity) want.emplace_back(sequence, start);
+            }
+            EXPECT_EQ(got[p], want) << label << ", probe " << p
+                                    << ", identity " << identity << ", n "
+                                    << n;
+          }
+        }
+      }
+      const NodeCounters& counters = solo.node.counters();
+      const std::uint64_t searched = counters.nn_searches - searches_before;
+      EXPECT_EQ(searched, probes.size() * kBallIdentities.size() * 3);
+      EXPECT_GT(counters.nn_ball_searches, 0u) << label;
+      EXPECT_LT(counters.nn_ball_searches, searched) << label;
+
+      // A restored snapshot rebuilds the first-block table (spilled
+      // snapshots are byte-identical to heap ones, so heap suffices).
+      if (spill) continue;
+      SoloNode restored(config);
+      const auto snapshot = solo.snapshot();
+      CodecReader reader(snapshot);
+      restored.node.load(reader);
+      EXPECT_TRUE(restored.node.audit().empty())
+          << restored.node.audit().front();
+      EngineTally restored_tally;
+      expect_engines_agree(restored.node, shard.blocks, probes,
+                           label + " restored", restored_tally);
+      EXPECT_EQ(restored_tally.ball, tally.ball) << label;
+    }
+  }
+}
+
+// After a rebalance splits one window's postings across two nodes, each
+// node's lookup walk still agrees with its vp-tree and with brute force
+// over the blocks it kept.
+TEST(StorageNode, HammingBallExactAfterRebalance) {
+  const DnaShard shard(mixed_store(false));
+  ClientOptions options;
+  options.topology.num_groups = 1;
+  options.topology.nodes_per_group = 1;
+  options.indexing.window_length = DnaShard::kWindow;
+  options.indexing.sample_size = 256;
+  options.prefix_tree.cutoff_depth = 2;
+  options.cost.measured_cpu = false;
+  Client client(options);
+  client.index(shard.store);
+  const net::NodeId added = client.add_node(0);
+  const auto poly_a = seq::encode_string(seq::Alphabet::kDna, "AAAAAAAA");
+  const auto probes = hamming_probes(shard);
+  std::size_t holders = 0;
+  EngineTally tally;
+  for (const net::NodeId id : {net::NodeId{0}, added}) {
+    const StorageNode& node = client.node(id);
+    EXPECT_TRUE(node.audit().empty()) << node.audit().front();
+    const auto stored = node.blocks();
+    holders += std::any_of(stored.begin(), stored.end(),
+                           [&](const Block& b) { return b.window == poly_a; });
+    expect_engines_agree(node, stored, probes,
+                         "node " + std::to_string(id), tally);
+  }
+  EXPECT_EQ(holders, 2u) << "the poly-A window's postings did not split";
+  EXPECT_GT(tally.ball, 0u);
+  EXPECT_GT(tally.straddles, 0u);
+}
+
+// A BLOSUM-derived protein metric is no mismatch indicator: its nodes
+// always search the vp-tree and keep no first-block table.
+TEST(StorageNode, ProteinNodesNeverTakeTheHammingBall) {
+  MiniCluster mini;
+  mini.index_everything();
+  const auto& donor = mini.store.at(0);
+  const auto window = donor.window(0, 100);
+  QueryRequestPayload request;
+  request.query.assign(window.begin(), window.end());
+  mini.send(0, kQueryRequest, 7, encode_payload(request));
+  mini.transport.run_until_idle();
+  ASSERT_EQ(mini.client_inbox.size(), 1u);
+  std::uint64_t misses = 0;
+  for (const auto& node : mini.nodes) {
+    EXPECT_FALSE(StorageNodeTestPeer::hamming_ball(*node));
+    EXPECT_EQ(node->counters().nn_ball_searches, 0u);
+    misses += node->counters().nn_cache_misses;
+    EXPECT_TRUE(node->audit().empty()) << node->audit().front();
+  }
+  EXPECT_GT(misses, 0u);
+}
+
+// The audit checks each slot's first block against its vp-tree item.
+TEST(StorageNode, AuditFlagsFirstBlockMismatch) {
+  const DnaShard shard;
+  SoloNode solo(shard.config());
+  solo.deliver(kInsertBlocks, shard.batch(0, 1));
+  ASSERT_TRUE(solo.node.audit().empty()) << solo.node.audit().front();
+  StorageNodeTestPeer::corrupt_first_block(solo.node, 0);
+  const auto violations = solo.node.audit();
+  ASSERT_FALSE(violations.empty());
+  EXPECT_NE(violations.front().find("first-block table does not map arena "
+                                    "slot 0"),
+            std::string::npos)
+      << violations.front();
 }
 
 TEST(StorageNode, DownNodesExcludedFromFanOut) {
