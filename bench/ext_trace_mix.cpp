@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
                             ? 0
                             : rng.below(donor.size() - length);
     const auto region = donor.window(offset, length);
-    seq::Sequence raw(store.alphabet(), "t" + std::to_string(i),
+    seq::Sequence raw(store.alphabet(),
+                      std::string("t").append(std::to_string(i)),
                       {region.begin(), region.end()});
     trace.push_back(workload::mutate(raw, {0.05, 0.0, 0.0}, raw.name(), rng));
   }

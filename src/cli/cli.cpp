@@ -30,11 +30,9 @@ seq::Alphabet alphabet_from(const Flags& flags) {
 core::TransportMode transport_from(const Flags& flags) {
   const std::string name = flags.str("transport", "sim");
   if (name == "sim") return core::TransportMode::kSim;
-  if (name == "threaded") return core::TransportMode::kThreaded;
   if (name == "socket") return core::TransportMode::kSocket;
-  throw InvalidArgument(
-      "--transport must be 'sim', 'threaded', or 'socket', got '" + name +
-      "'");
+  throw InvalidArgument("--transport must be 'sim' or 'socket', got '" +
+                        name + "'");
 }
 
 // Transport selection shared by every command that builds a Client.
@@ -450,7 +448,7 @@ void print_help(std::ostream& out) {
          "           [--branch-epsilon F] [--max-hits N] [--min-anchor-span N]\n"
          "  search   --db DB.fasta --queries Q.fasta one-shot index + query\n"
          "           (no index file); works on every transport, including\n"
-         "           [--transport sim|threaded|socket] with\n"
+         "           [--transport sim|socket] with\n"
          "           [--endpoints HOST:PORT,... or unix:PATH,...]\n"
          "           [--heartbeat-interval S] [--heartbeat-timeout S]\n"
          "           (socket mode needs running mendel-node daemons; see\n"

@@ -15,8 +15,8 @@
 // input stays on mendel::require() / InvalidArgument.
 //
 // The failure is thrown (not abort()) so the actor runtimes can surface it
-// through ThreadTransport::handler_errors() instead of tearing down every
-// worker mid-test; the log line is still emitted first, so the context
+// through SocketTransport::handler_errors() instead of tearing down every
+// dispatch thread mid-test; the log line is still emitted first, so the context
 // survives even if the exception is swallowed.
 //
 // The message argument is a stream expression:

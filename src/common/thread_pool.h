@@ -1,7 +1,8 @@
 // Fixed-size worker pool.
 //
-// Used by the ThreadTransport integration runtime and by embarrassingly
-// parallel benchmark harness phases (e.g. generating workload cohorts).
+// Used by the storage nodes' intra-node search pool (NodeHost) and by
+// embarrassingly parallel benchmark harness phases (e.g. generating
+// workload cohorts).
 // Tasks are type-erased std::function<void()>; submit() returns a
 // std::future for the task's result.
 #pragma once

@@ -40,10 +40,6 @@ Client::Client(ClientOptions options)
   transport_config.schedule_seed = options_.runtime.schedule_seed;
   transport_config.socket = options_.runtime.socket;
   transport_ = net::make_transport(transport_config);
-  if (options_.runtime.search_threads > 0) {
-    search_pool_ =
-        std::make_unique<ThreadPool>(options_.runtime.search_threads);
-  }
   if (options_.runtime.enable_metrics) {
     c_submitted_ = &registry_.counter("client.queries_submitted");
     c_completed_ = &registry_.counter("client.queries_completed");
@@ -110,7 +106,6 @@ StorageNodeConfig Client::node_config() {
   config.alphabet = alphabet_;
   config.bucket_capacity = options_.bucket_capacity;
   config.database_residues = database_residues_;
-  config.search_pool = search_pool_.get();
   config.nn_cache_capacity = options_.runtime.nn_cache_capacity;
   config.metrics = options_.runtime.enable_metrics ? &registry_ : nullptr;
   config.trace_buffer_capacity = options_.runtime.trace_buffer_capacity;
@@ -205,10 +200,7 @@ bool Client::transport_down(net::NodeId id) const {
 }
 
 net::FaultInjector& Client::fault_injector() const {
-  net::FaultInjector* faults = transport_->fault_injector();
-  require(faults != nullptr,
-          "Client::fault_injector: transport has no fault injector");
-  return *faults;
+  return transport_->fault_injector();
 }
 
 void Client::propagate_residues() {
@@ -293,9 +285,9 @@ seq::SequenceId Client::add_sequences(const seq::SequenceStore& more) {
 
 net::NodeId Client::add_node(std::uint32_t group) {
   require(indexed_, "Client::add_node before index()/load_index()");
-  require(options_.runtime.transport_mode == TransportMode::kSim,
+  require(hosts_nodes(),
           "Client::add_node: elastic scale-out requires TransportMode::kSim "
-          "(the threaded runtime pins its worker set at start())");
+          "(socket daemons host a fixed node set)");
   const net::NodeId id = topology_->add_node(group);
   nodes_.push_back(std::make_unique<StorageNode>(id, node_config()));
   transport_->register_actor(id, nodes_.back().get());
@@ -449,11 +441,11 @@ QueryOutcome Client::wait(const QueryTicket& ticket) {
     if (reply.has_value()) break;
     // No reply yet. If the transport proves the cluster idle, the dataflow
     // cannot make further progress: the query stalled. Under the simulator
-    // the probe is what runs the dataflow, so the reply usually lands
-    // during it; under threads a reply may race in between the two
-    // checks. Either way, look once more before declaring the stall. Past
-    // the deadline the query is declared stalled outright.
-    if (transport_->poll_idle() ||
+    // quiesce() is what runs the dataflow, so the reply usually lands
+    // during it; look once more before declaring the stall. Sockets never
+    // prove idle, so there only the deadline declares a stall (a reply may
+    // race in just before it).
+    if (transport_->quiesce() ||
         std::chrono::steady_clock::now() >= deadline) {
       reply = take_reply(ticket.id);
       break;

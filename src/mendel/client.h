@@ -12,39 +12,37 @@
 //   auto outcome = client.query(query);        // similarity search
 //   for (const auto& hit : outcome.hits) ...;  // ranked alignments
 //
-// Three runtimes back the same cluster code (selected through
+// Two runtimes back the same cluster code (selected through
 // net::TransportFactory):
 //   * TransportMode::kSim (default) — the deterministic discrete-event
 //     simulator with virtual time; the runtime the benchmark figures are
-//     measured on. Single-threaded: submit/wait/query must all be called
-//     from one thread.
-//   * TransportMode::kThreaded — one OS thread per storage node. submit()
-//     and wait() are thread-safe, so many application threads can drive
-//     overlapping queries (the concurrent query pipeline); intra-node
-//     subquery searches additionally fan out over `search_threads`.
+//     measured on and the results oracle. The StorageNodes live in this
+//     process. Single-threaded: submit/wait/query must all be called from
+//     one thread.
 //   * TransportMode::kSocket — real sockets between processes. The Client
 //     hosts no StorageNodes; mendel-node daemons (tools/mendel_node) serve
 //     them at the endpoints in RuntimeOptions::socket, and the Client
-//     drives their lifecycle with the kNodeInit control message. Node
-//     liveness comes from heartbeats mapped onto the same
-//     node_down/cancel/heal machinery the in-process runtimes use for
+//     drives their lifecycle with the kNodeInit control message. submit()
+//     and wait() are thread-safe, so many application threads can drive
+//     overlapping queries. Node liveness comes from heartbeats mapped onto
+//     the same node_down/cancel/heal machinery the simulator uses for
 //     injected faults.
 //
 // The Client holds the runtime only as a net::Transport and runs one code
-// path on all three: start()/stop() bracket its life, settle() asks the
+// path on both: start()/stop() bracket its life, settle() asks the
 // transport to quiesce() and falls back to a kBarrier/kBarrierAck round
 // when it cannot prove the cluster idle (sockets), and wait() declares a
 // query stalled when the transport proves the cluster idle without its
 // reply or when RuntimeOptions::query_timeout passes, whichever comes
-// first. State the in-process nodes need (the database residue total,
-// membership) travels as messages on every runtime. Only spawning,
-// snapshots, elastic scale-out and re-initializing a healed daemon ask
-// whether the nodes live in this process.
+// first. State the nodes need (the database residue total, membership)
+// travels as messages on every runtime. Only spawning, snapshots, elastic
+// scale-out and re-initializing a healed daemon ask whether the nodes live
+// in this process.
 //
 // Concurrent admission: submit() injects a query and returns a ticket;
 // wait() blocks for that query's result. query() is submit+wait, and
 // query_batch() admits a whole set before collecting any result — under
-// the simulator that batches the virtual-time dataflow, under threads the
+// the simulator that batches the virtual-time dataflow, over sockets the
 // queries genuinely overlap. Replies land in a per-query_id reply table,
 // so any number of queries can be in flight simultaneously.
 //
@@ -65,7 +63,6 @@
 
 #include "src/cluster/topology.h"
 #include "src/common/thread_annotations.h"
-#include "src/common/thread_pool.h"
 #include "src/mendel/indexer.h"
 #include "src/mendel/params.h"
 #include "src/mendel/storage_node.h"
@@ -86,12 +83,10 @@ using TransportMode = net::TransportMode;
 // aggregate with member defaults, so `RuntimeOptions{}` and partial
 // designated initialization both work.
 struct RuntimeOptions {
-  // Runtime selection (see the header comment).
+  // Runtime selection (see the header comment). The intra-node search
+  // pool is a daemon setting (NodeHostOptions::search_threads, mendel-node
+  // --search-threads); in-process simulator nodes search serially.
   TransportMode transport_mode = TransportMode::kSim;
-  // Worker threads shared by all storage nodes for intra-node subquery
-  // fan-out (0 = serial searches). Only useful with real CPU parallelism;
-  // results are identical either way.
-  unsigned search_threads = 0;
   // Per-node subquery NN cache entries (0 disables the cache).
   std::size_t nn_cache_capacity = 4096;
   // Registers pipeline-stage latency histograms and client counters in the
@@ -203,15 +198,14 @@ class Client {
   // rebalance protocol — consistent hashing moves ~1/n of the group's
   // blocks (and a slice of the sequence repository) onto the newcomer.
   // Returns the new node's id. Queries work unchanged afterwards.
-  // TransportMode::kSim only (the threaded runtime pins its worker set at
-  // start(), and socket daemons host a fixed node set).
+  // TransportMode::kSim only (socket daemons host a fixed node set).
   net::NodeId add_node(std::uint32_t group);
 
   bool indexed() const { return indexed_; }
 
   // --- concurrent query admission ----------------------------------------
   // Injects a query into the cluster and returns immediately. Thread-safe
-  // in TransportMode::kThreaded; in kSim the caller must stay on the one
+  // in TransportMode::kSocket; in kSim the caller must stay on the one
   // driving thread (the simulator itself is single-threaded).
   QueryTicket submit(const seq::Sequence& query, QueryParams params = {});
   // Blocks until the ticket's query completed or stalled: the transport
@@ -237,8 +231,10 @@ class Client {
   // own instruments (pipeline-stage latency histograms, client counters)
   // plus synthetic entries folding in the per-node NodeCounters totals
   // (node.*), transport traffic and net::TransportCounters (net.*) and
-  // span-buffer health (trace.*). The name set is the same on every
-  // runtime. Serialize with MetricsSnapshot::to_json()/to_prometheus().
+  // span-buffer health (trace.*). The synthetic names are the same on
+  // every runtime; over sockets the nodes record their own instruments in
+  // the daemons' registries (NodeHostOptions::metrics) and the node.*
+  // folds read 0. Serialize with MetricsSnapshot::to_json()/to_prometheus().
   obs::MetricsSnapshot metrics() const;
   // The registry behind metrics(); for attaching extra instruments.
   obs::MetricsRegistry& metrics_registry() { return registry_; }
@@ -252,7 +248,7 @@ class Client {
   // --- telemetry ---------------------------------------------------------
   const cluster::Topology& topology() const;
   std::vector<std::uint64_t> block_counts() const;
-  // The transport's fault-injection capability (all modes).
+  // The transport's fault-injection capability (both modes).
   net::FaultInjector& fault_injector() const;
   StorageNode& node(net::NodeId id);
   const StorageNode& node(net::NodeId id) const;
@@ -288,10 +284,11 @@ class Client {
     double arrival = 0.0;
   };
 
-  // True when the StorageNodes live in this process (kSim, kThreaded);
-  // false when mendel-node daemons host them (kSocket).
+  // True when the StorageNodes live in this process (kSim); false when
+  // mendel-node daemons host them (kSocket). Spawning, snapshots and
+  // elastic scale-out need local nodes.
   bool hosts_nodes() const {
-    return options_.runtime.transport_mode != TransportMode::kSocket;
+    return options_.runtime.transport_mode == TransportMode::kSim;
   }
   void spawn_nodes(seq::Alphabet alphabet);
   // The configuration of an in-process StorageNode.
@@ -334,7 +331,6 @@ class Client {
   std::unique_ptr<vpt::VpPrefixTree> prefix_tree_;
   // The factory-built runtime, driven only through net::Transport.
   std::unique_ptr<net::Transport> transport_;
-  std::unique_ptr<ThreadPool> search_pool_;
   std::vector<std::unique_ptr<StorageNode>> nodes_;
   std::unique_ptr<net::Actor> client_actor_;
   bool indexed_ = false;
@@ -345,7 +341,7 @@ class Client {
 
   // Per-query_id reply table: the client actor files results here; wait()
   // redeems tickets against it. Guarded by reply_mu_ (the actor runs on a
-  // transport thread in kThreaded mode).
+  // dispatch thread in kSocket mode).
   std::mutex reply_mu_;
   std::condition_variable reply_cv_;
   std::unordered_map<std::uint64_t, Reply> replies_

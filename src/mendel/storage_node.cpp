@@ -762,7 +762,7 @@ void StorageNode::on_node_search(const net::Message& message,
     validate_codes(sub.window, seq::cardinality(config_.alphabet),
                    "node_search subquery");
   }
-  // Span duration is wall time under the threaded transport only; under
+  // Span duration is wall time under the socket transport only; under
   // virtual time a measured duration would differ run to run and break
   // trace byte-stability.
   const bool measure_span = request.trace.on() && !ctx.virtual_time();
@@ -1179,7 +1179,7 @@ void StorageNode::coordinator_bin_and_fetch(std::uint64_t query_id,
 
   // The fan-in span covers route → last group result. The duration comes
   // from clock deltas, so it is virtual (and deterministic) under the
-  // simulator and wall time under the threaded transport.
+  // simulator and wall time under the socket transport.
   const std::uint64_t fanin_span = record_span(
       "coord.fanin", query_id, pending.trace, pending.created,
       delta_ns(pending.created, ctx.now()), total_merged);
@@ -1585,7 +1585,7 @@ void StorageNode::on_fetch_range_result(const net::Message& message,
     if (payload.token < pending.fetched.size()) {
       pending.fetched[payload.token] = std::move(range);
       // Streaming extension: ungapped X-drop for this range's member seeds
-      // runs now — on the pool under the threaded transport, inline under
+      // runs now — on the daemon's search pool when it has one, inline under
       // the simulator — instead of queueing behind the last fetch. The
       // pending entry is a stable map node and is only torn down after
       // drain_tasks (reply assembly or cancel), so the captured reference

@@ -18,9 +18,10 @@
 //                       aggregation, gapped extension, E-value ranking.
 //
 // The class is transport-agnostic: the same code runs under the
-// deterministic SimTransport and the thread-per-node ThreadTransport. All
-// mutable state is only touched from handle(), which both transports call
-// from a single thread per node. The one intra-handler concurrency is the
+// deterministic SimTransport and, hosted by a NodeHost, under the
+// SocketTransport's one-dispatch-thread-per-node runtime. All mutable
+// state is only touched from handle(), which both transports call from a
+// single thread per node. The one intra-handler concurrency is the
 // subquery fan-out in on_node_search: pool tasks only *read* the vp-tree
 // and arena (each with a private probe metric and block-store pin set) and
 // write disjoint slots of a local result vector; counters and the NN cache
@@ -326,7 +327,7 @@ class StorageNode final : public net::Actor {
     // Total order over stored blocks for n-NN distance ties. Block identity
     // (sequence, start) is unique per node (dedup keys), so the tie class at
     // the n-th-neighbor boundary resolves identically on every tree shape —
-    // required for sim/threaded transport parity on DNA, whose 4-letter
+    // required for sim/socket transport parity on DNA, whose 4-letter
     // alphabet makes exact window-distance ties pervasive.
     bool tie_before(const BlockRef& a, const BlockRef& b) const {
       return BlockOrder{}(a, b);
@@ -444,7 +445,7 @@ class StorageNode final : public net::Actor {
     std::vector<std::optional<FetchedRange>> fetched;
     std::size_t awaiting_fetches = 0;
     // Streaming extension: ungapped X-drop runs as each fetch result
-    // arrives (pool task under the threaded transport, inline under the
+    // arrives (pool task on a daemon with a search pool, inline under the
     // simulator), writing disjoint per-seed slots; the reply assembles
     // them in merged-seed order so results are arrival-order independent.
     std::vector<std::optional<Anchor>> anchor_slots;

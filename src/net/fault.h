@@ -11,7 +11,6 @@
 // How "down" manifests differs by transport and mirrors a real failure
 // mode of each runtime:
 //   * SimTransport drops at delivery time (the node vanished);
-//   * ThreadTransport drops at send time (the mailbox refuses);
 //   * SocketTransport drops at the outbound edge of this process, and
 //     additionally reports peers whose heartbeats expired as down.
 // In every case node_down() is the membership view the Client consults

@@ -7,16 +7,14 @@
 // Transport implementations deliver typed, serialized envelopes between
 // them.
 //
-// Three transports exist (construct via transport_factory.h):
+// Two transports exist (construct via transport_factory.h):
 //   * SimTransport (sim_transport.h)     — deterministic discrete-event
-//     engine with virtual time; the primary runtime and the one the
-//     benchmark figures are measured on.
-//   * ThreadTransport (thread_transport.h) — one OS thread per node with
-//     blocking mailboxes; exercises the same actor code under real
-//     concurrency in the integration tests.
+//     engine with virtual time; the primary runtime, the one the benchmark
+//     figures are measured on, and the results oracle.
 //   * SocketTransport (socket_transport.h) — real length-prefixed frames
 //     over TCP or Unix-domain sockets; the multi-process deployment
-//     runtime behind the mendel-node daemon.
+//     runtime behind the mendel-node daemon, and the one the
+//     real-concurrency tests run on (several daemons in one process).
 #pragma once
 
 #include <cstdint>
@@ -69,7 +67,7 @@ class Context {
   NodeId self() const { return self_; }
 
   // Current time in seconds: virtual time under SimTransport, wall time
-  // under ThreadTransport.
+  // under SocketTransport.
   double now() const { return now_; }
 
   // True under the simulator, where now() is virtual and measuring wall
@@ -147,8 +145,8 @@ class Transport {
   // --- lifecycle and quiescence ------------------------------------------
   // The owner drives every runtime through these calls alone. The defaults
   // describe a transport that needs no threads and can prove nothing about
-  // the cluster: SimTransport and ThreadTransport prove quiescence, and
-  // SocketTransport, which sees only its own process, keeps the defaults.
+  // the cluster: SimTransport proves quiescence, and SocketTransport, which
+  // sees only its own process, keeps the quiesce() default.
 
   // Begins delivery; every local actor must be registered first.
   virtual void start() {}
@@ -157,38 +155,27 @@ class Transport {
   virtual void stop() {}
   // Blocks until no message is queued or being handled anywhere in the
   // cluster and returns true; returns false at once when the transport
-  // cannot prove that (the caller then needs an explicit barrier).
-  virtual bool quiesce() { return false; }
-  // Non-blocking stall probe: true only when the transport can prove that
-  // nothing is queued or being handled, so a missing reply will never
-  // come. The simulator, which only advances when driven, first runs its
+  // cannot prove that (the caller then needs an explicit barrier or a
+  // deadline). The simulator, which only advances when driven, runs its
   // queue dry.
-  virtual bool poll_idle() { return false; }
+  virtual bool quiesce() { return false; }
   // The clock that stamps query injection and reply arrival, in seconds:
   // virtual time under the simulator, steady_clock otherwise.
   virtual double external_time() const;
-  virtual TransportCounters counters() const { return {}; }
+  virtual TransportCounters counters() const = 0;
 
-  // Fault-injection capability (src/net/fault.h). All Mendel transports
-  // implement it and return `this`; the default keeps the Transport
-  // interface implementable without one (callers must check for null).
-  virtual FaultInjector* fault_injector() { return nullptr; }
+  // Fault-injection capability (src/net/fault.h).
+  virtual FaultInjector& fault_injector() = 0;
 
   // --- per-query traffic attribution ------------------------------------
   // Opt-in exact accounting: after begin_query_stats(id), every message
   // whose request_id equals `id` is also counted into a per-query bucket
-  // until take_query_stats(id) removes and returns it. Because the query
-  // dataflow reuses the query id as request_id end to end, the bucket is
-  // exactly that query's traffic even with other queries in flight. Only
-  // registered ids pay the bookkeeping; the defaults make the feature a
-  // no-op for Transport subclasses that don't implement it.
-  virtual void begin_query_stats(std::uint64_t query_id) {
-    (void)query_id;
-  }
-  virtual NetworkStats take_query_stats(std::uint64_t query_id) {
-    (void)query_id;
-    return {};
-  }
+  // until take_query_stats(id) removes and returns it (an empty bucket for
+  // an id never begun). Because the query dataflow reuses the query id as
+  // request_id end to end, the bucket is exactly that query's traffic even
+  // with other queries in flight. Only registered ids pay the bookkeeping.
+  virtual void begin_query_stats(std::uint64_t query_id) = 0;
+  virtual NetworkStats take_query_stats(std::uint64_t query_id) = 0;
 };
 
 }  // namespace mendel::net

@@ -68,13 +68,12 @@ class SimTransport final : public Transport, public FaultInjector {
   void set_external_time(double now) { external_now_ = now; }
   double external_time() const override { return external_now_; }
 
-  // Quiescence is a full drain: both calls run the queue dry (advancing the
-  // external clock to the drained horizon) and report idle.
+  // Quiescence is a full drain: runs the queue dry (advancing the external
+  // clock to the drained horizon) and reports idle.
   bool quiesce() override {
     run_until_idle();
     return true;
   }
-  bool poll_idle() override { return quiesce(); }
 
   double node_clock(NodeId id) const;
   NetworkStats stats() const override { return stats_; }
@@ -115,7 +114,7 @@ class SimTransport final : public Transport, public FaultInjector {
   // only one message type, leaving the node otherwise healthy. Lets tests
   // fail a node mid-dataflow — e.g. a sequence home that stops serving
   // ranged fetches after its searches succeeded.
-  FaultInjector* fault_injector() override { return this; }
+  FaultInjector& fault_injector() override { return *this; }
   void fail_node(NodeId id) override;
   void heal_node(NodeId id) override;
   bool node_down(NodeId id) const override;

@@ -281,8 +281,8 @@ void SocketTransport::start() {
     threads_.emplace_back([this, fd] { accept_loop(fd); });
   }
 
-  // Dispatch threads (one per local actor, same contract as
-  // ThreadTransport: handlers of one actor never run concurrently).
+  // Dispatch threads, one per local actor: handlers of one actor never run
+  // concurrently.
   for (auto& [id, mailbox] : mailboxes_) {
     Actor* actor = actors_.at(id);
     Mailbox* mb = mailbox.get();

@@ -17,11 +17,11 @@
 //     replies — in particular to the client actor, which has no endpoint
 //     of its own — back over the same connection.
 //   * send() is thread-safe: local destinations enqueue into the actor's
-//     mailbox (one dispatch thread per actor, same single-threaded handler
-//     contract as ThreadTransport); remote destinations are framed and
+//     mailbox (one dispatch thread per actor, so one actor's handlers never
+//     run concurrently); remote destinations are framed and
 //     written under a per-connection mutex. A dead connection is redialed
 //     with exponential backoff; messages that cannot be delivered are
-//     dropped and counted, mirroring the other transports' fault
+//     dropped and counted, mirroring the simulator's fault
 //     semantics (Mendel's dataflows already tolerate loss via the client's
 //     stall/cancel machinery).
 //   * With heartbeat_interval > 0 a monitor thread pings every remote
@@ -30,10 +30,9 @@
 //     cancel/heal machinery consumes for simulated failures.
 //
 // What this transport does NOT give: global quiescence detection (there is
-// no cluster-wide idle across processes — quiesce() and poll_idle() return
-// false, so the client falls back to reply deadlines and explicit barrier
-// messages) and virtual time (Context::now() is wall time, like
-// ThreadTransport).
+// no cluster-wide idle across processes — quiesce() returns false, so the
+// client falls back to reply deadlines and explicit barrier messages) and
+// virtual time (Context::now() is wall time).
 #pragma once
 
 #include <atomic>
@@ -128,7 +127,7 @@ class SocketTransport final : public Transport, public FaultInjector {
   // testing and the client's explicit fail path); node_down additionally
   // reports peers whose heartbeats expired, so the one membership view
   // covers injected and real failures.
-  FaultInjector* fault_injector() override { return this; }
+  FaultInjector& fault_injector() override { return *this; }
   void fail_node(NodeId id) override;
   void heal_node(NodeId id) override;
   bool node_down(NodeId id) const override;
@@ -156,12 +155,12 @@ class SocketTransport final : public Transport, public FaultInjector {
   std::uint64_t heartbeats_missed() const {
     return heartbeats_missed_.load(std::memory_order_relaxed);
   }
-  // Errors thrown by local actor handlers (kept serving, like
-  // ThreadTransport).
+  // Errors thrown by local actor handlers (the dispatch thread kept
+  // serving).
   std::vector<std::string> handler_errors() const MENDEL_EXCLUDES(errors_mu_);
-  // All of the above in the runtime-independent struct. quiesce() and
-  // poll_idle() keep the Transport defaults: one process cannot see frames
-  // on the wire or queued in other processes, so it never proves idle.
+  // All of the above in the runtime-independent struct. quiesce() keeps
+  // the Transport default: one process cannot see frames on the wire or
+  // queued in other processes, so it never proves idle.
   TransportCounters counters() const override;
 
   const SocketOptions& options() const { return options_; }

@@ -13,8 +13,6 @@ std::unique_ptr<Transport> make_transport(const TransportConfig& config) {
       sim->set_schedule_seed(config.schedule_seed);
       return sim;
     }
-    case TransportMode::kThreaded:
-      return std::make_unique<ThreadTransport>();
     case TransportMode::kSocket:
       return std::make_unique<SocketTransport>(config.socket);
   }

@@ -5,10 +5,10 @@
 // naming a concrete class, so adding a transport — as the socket transport
 // was — touches this file and nothing upstream. The returned Transport
 // carries everything an owner needs behind virtual calls: start()/stop()
-// lifecycle, quiesce() and poll_idle() for settling and stall detection,
-// external_time() for stamping queries, counters() and the per-query
-// attribution surface for observability, and fault_injector() for failure
-// injection. No owner needs to know which concrete class it holds.
+// lifecycle, quiesce() for settling and stall detection, external_time()
+// for stamping queries, counters() and the per-query attribution surface
+// for observability, and fault_injector() for failure injection. No owner
+// needs to know which concrete class it holds.
 #pragma once
 
 #include <cstdint>
@@ -17,14 +17,12 @@
 #include "src/net/message.h"
 #include "src/net/sim_transport.h"
 #include "src/net/socket_transport.h"
-#include "src/net/thread_transport.h"
 
 namespace mendel::net {
 
 enum class TransportMode {
-  kSim,       // deterministic discrete-event simulator (virtual time)
-  kThreaded,  // one OS thread per node (wall time, real concurrency)
-  kSocket,    // real sockets between processes (mendel-node daemons)
+  kSim,     // deterministic discrete-event simulator (virtual time)
+  kSocket,  // real sockets between processes (mendel-node daemons)
 };
 
 struct TransportConfig {

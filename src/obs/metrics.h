@@ -3,7 +3,7 @@
 //
 // Design constraints, in order:
 //   1. Hot-path writes must stay within noise of the uninstrumented
-//      benchmarks (BENCH_hotpath.json / BENCH_query.json). Every write is
+//      benchmarks (BENCH_hotpath.json, perfbench). Every write is
 //      therefore a relaxed atomic add on a cache-line-padded shard — no
 //      locks, no branches beyond a null check at the call site.
 //   2. Reads (snapshot/export) are rare and may be slow: value() sums the
@@ -13,7 +13,7 @@
 //      pointers; the per-event path never touches the name table.
 //
 // The storage nodes shard by node id and the client by thread, so under
-// the threaded runtime concurrent writers land on distinct cache lines;
+// the socket runtime concurrent writers land on distinct cache lines;
 // under the single-threaded simulator the same code degenerates to plain
 // increments on one line.
 #pragma once

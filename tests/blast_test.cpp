@@ -190,7 +190,9 @@ TEST(BlastEngine, DnaModeExactWords) {
   Rng rng(88);
   for (int i = 0; i < 10; ++i) {
     store.add(workload::random_sequence(Alphabet::kDna, 600,
-                                        "g" + std::to_string(i), rng));
+                                        std::string("g").append(
+                                            std::to_string(i)),
+                                        rng));
   }
   static const score::ScoringMatrix dna = score::dna_matrix();
   BlastOptions options;

@@ -246,6 +246,17 @@ TEST(Cli, MissingFilesSurfaceIoErrors) {
   EXPECT_EQ(run({"info", "--index", "/nonexistent.mnd"}, nullptr, &err), 2);
 }
 
+TEST(Cli, UnknownTransportNamesBothRuntimes) {
+  // Flags are parsed before any file is read, so the paths need not exist.
+  std::string err;
+  EXPECT_EQ(run({"search", "--db", "/nonexistent.fa", "--queries",
+                 "/nonexistent_q.fa", "--transport", "threaded"},
+                nullptr, &err),
+            2);
+  EXPECT_NE(err.find("'sim' or 'socket'"), std::string::npos) << err;
+  EXPECT_NE(err.find("'threaded'"), std::string::npos) << err;
+}
+
 TEST(Cli, BadAlphabetRejected) {
   std::string err;
   EXPECT_EQ(run({"generate", "--out", "/tmp/x.fa", "--alphabet", "rna"},

@@ -101,7 +101,8 @@ TEST(Topology, ReplicatedKeysDistinctWithinGroup) {
   config.replication = 3;
   Topology topo(config);
   for (int i = 0; i < 50; ++i) {
-    const auto key = hashing::sha1_prefix64("b" + std::to_string(i));
+    const auto key =
+        hashing::sha1_prefix64(std::string("b").append(std::to_string(i)));
     const auto nodes = topo.nodes_for_key(2, key);
     ASSERT_EQ(nodes.size(), 3u);
     std::set<net::NodeId> unique(nodes.begin(), nodes.end());
@@ -118,7 +119,8 @@ TEST(Topology, SequenceHomesSpreadOverCluster) {
   std::set<net::NodeId> homes_seen;
   for (int i = 0; i < 400; ++i) {
     const auto homes =
-        topo.sequence_homes(hashing::sha1_prefix64("s" + std::to_string(i)));
+        topo.sequence_homes(hashing::sha1_prefix64(
+            std::string("s").append(std::to_string(i))));
     ASSERT_EQ(homes.size(), 2u);
     EXPECT_NE(homes[0], homes[1]);
     homes_seen.insert(homes.begin(), homes.end());
@@ -131,7 +133,8 @@ TEST(Topology, DifferentGroupsHaveDifferentRingLayouts) {
   Topology topo(config_10x5());
   int differing = 0;
   for (int i = 0; i < 100; ++i) {
-    const auto key = hashing::sha1_prefix64("k" + std::to_string(i));
+    const auto key =
+        hashing::sha1_prefix64(std::string("k").append(std::to_string(i)));
     const auto a = topo.address(topo.primary_node_for_key(0, key)).index;
     const auto b = topo.address(topo.primary_node_for_key(1, key)).index;
     differing += a != b ? 1 : 0;

@@ -11,6 +11,7 @@
 #include "src/mendel/client.h"
 #include "src/mendel/storage_node.h"
 #include "src/workload/generator.h"
+#include "tests/socket_cluster.h"
 
 namespace mendel {
 namespace {
@@ -71,11 +72,13 @@ std::size_t total_cache_entries(core::Client& client) {
   return total;
 }
 
-void expect_no_leaked_pending(core::Client& client) {
-  for (net::NodeId id = 0; id < client.topology().total_nodes(); ++id) {
-    EXPECT_EQ(client.node(id).pending_group_queries(), 0u)
+// Pending tables of every node, wherever it lives; the caller settles.
+void expect_no_leaked_pending(testutil::Deployment& deployment) {
+  const std::uint32_t total = deployment.client().topology().total_nodes();
+  for (net::NodeId id = 0; id < total; ++id) {
+    EXPECT_EQ(deployment.node(id).pending_group_queries(), 0u)
         << "group pending leaked on node " << id;
-    EXPECT_EQ(client.node(id).pending_coordinator_queries(), 0u)
+    EXPECT_EQ(deployment.node(id).pending_coordinator_queries(), 0u)
         << "coordinator pending leaked on node " << id;
   }
 }
@@ -203,15 +206,19 @@ TEST(ConcurrentQuery, ParallelSubquerySearchIsDeterministic) {
   serial.index(store);
   const auto serial_outcome = serial.query(query);
 
-  // Same cluster with intra-node searches fanned over a 3-thread pool
-  // (cache off so every subquery actually exercises the pool path).
+  // Same cluster over sockets, each daemon fanning its nodes' searches
+  // over a 3-thread pool (cache off so every subquery actually exercises
+  // the pool path).
   auto pooled_options = cluster_options();
-  pooled_options.runtime.search_threads = 3;
+  pooled_options.runtime.transport_mode = core::TransportMode::kSocket;
   pooled_options.runtime.nn_cache_capacity = 0;
-  core::Client pooled(pooled_options);
-  pooled.index(store);
-  const auto pooled_outcome = pooled.query(query);
+  testutil::Deployment pooled("pooled", pooled_options,
+                              /*search_threads=*/3);
+  pooled.client().index(store);
+  const auto pooled_outcome = pooled.client().query(query);
 
+  EXPECT_TRUE(pooled_outcome.completed);
+  ASSERT_FALSE(serial_outcome.hits.empty());
   expect_same_hits(serial_outcome.hits, pooled_outcome.hits);
 }
 
@@ -219,7 +226,8 @@ TEST(ConcurrentQuery, ParallelSubquerySearchIsDeterministic) {
 
 TEST(ConcurrentQuery, BatchedSubmitRedeemsOutOfOrder) {
   const auto store = workload::generate_database(database_spec());
-  core::Client client(cluster_options());
+  testutil::Deployment deployment("batched", cluster_options());
+  core::Client& client = deployment.client();
   client.index(store);
 
   std::vector<seq::Sequence> queries;
@@ -241,7 +249,7 @@ TEST(ConcurrentQuery, BatchedSubmitRedeemsOutOfOrder) {
     EXPECT_TRUE(hits_contain(outcomes[i].hits, donors[i])) << "donor "
                                                            << donors[i];
   }
-  expect_no_leaked_pending(client);
+  expect_no_leaked_pending(deployment);
 }
 
 TEST(ConcurrentQuery, QueryBatchMatchesSerialQueries) {
@@ -268,35 +276,44 @@ TEST(ConcurrentQuery, QueryBatchMatchesSerialQueries) {
 
 // ---------- stall -> cancel -> heal -> retry ----------
 
-// The fault tests run one body on every in-process runtime: the simulator
-// detects the stall by draining its queue, threads by transport
-// quiescence.
+// The fault tests run one body on both runtimes. The simulator proves a
+// stall by draining its queue; over sockets only the query deadline
+// declares it, so that runtime gets a short one. A silent fault is
+// injected on every daemon too, so traffic between daemons is dropped as
+// well as the client's.
 class FaultRecoveryTest : public ::testing::TestWithParam<core::TransportMode> {
  protected:
-  core::ClientOptions options(core::ClientOptions base) const {
-    base.runtime.transport_mode = GetParam();
-    return base;
+  testutil::Deployment deploy(const std::string& tag,
+                              core::ClientOptions options) const {
+    options.runtime.transport_mode = GetParam();
+    options.runtime.query_timeout = 2.0;
+    // Extensions ride the daemons' pools, so a cancel must also drain
+    // in-flight pool tasks.
+    return testutil::Deployment(tag, std::move(options),
+                                /*search_threads=*/2);
   }
 };
 
 std::string mode_name(
     const ::testing::TestParamInfo<core::TransportMode>& info) {
-  return info.param == core::TransportMode::kSim ? "Sim" : "Threaded";
+  return info.param == core::TransportMode::kSim ? "Sim" : "Socket";
 }
 
 TEST_P(FaultRecoveryTest, StallHealRetryLeavesNoLeakedPending) {
   const auto store = workload::generate_database(database_spec());
-  core::Client client(options(cluster_options()));
+  auto deployment = deploy("stall", cluster_options());
+  core::Client& client = deployment.client();
   client.index(store);
   const auto query = probe_of(store, 3, 10, 120);
   const auto healthy = client.query(query);
   ASSERT_TRUE(healthy.completed);
   client.settle();
-  expect_no_leaked_pending(client);
+  expect_no_leaked_pending(deployment);
 
   // Silent failure: drop node 2's traffic without updating membership, so
   // fan-ins that await it stall and the cancel protocol kicks in.
   client.fault_injector().fail_node(2);
+  if (auto* cluster = deployment.sockets()) cluster->fail_node(2);
   const auto stalled = client.query(query);
   EXPECT_FALSE(stalled.completed);
   EXPECT_TRUE(stalled.hits.empty());
@@ -308,21 +325,23 @@ TEST_P(FaultRecoveryTest, StallHealRetryLeavesNoLeakedPending) {
 
   // Healing flushes the deferred cancel to node 2, scrubbing any state the
   // aborted query could have left there.
+  if (auto* cluster = deployment.sockets()) cluster->heal_node(2);
   client.heal_node(2);
   EXPECT_EQ(client.metrics().counter("net.dropped_messages"),
             dropped_after_cancel);
-  expect_no_leaked_pending(client);
+  expect_no_leaked_pending(deployment);
 
   // Retry over the healed cluster completes and leaves nothing behind.
-  // wait() returns the instant the reply lands at the client actor; under
-  // threads the coordinator may still be inside the handler that erases
+  // wait() returns the instant the reply lands at the client actor; over
+  // sockets the coordinator may still be inside the handler that erases
   // its pending entry, so settle before inspecting node state.
   const auto retried = client.query(query);
   EXPECT_TRUE(retried.completed);
   expect_same_hits(healthy.hits, retried.hits);
   client.settle();
-  expect_no_leaked_pending(client);
+  expect_no_leaked_pending(deployment);
   EXPECT_EQ(client.metrics().counter("net.handler_errors"), 0u);
+  if (auto* cluster = deployment.sockets()) cluster->expect_clean();
 }
 
 // A node that served ranged fetches for `trace`'s query — a victim for
@@ -354,13 +373,8 @@ core::ClientOptions fetch_fault_options() {
 // the healed cluster must complete the retry with the healthy ranking.
 TEST_P(FaultRecoveryTest, HomeFailedMidFetchCancelsThenHealsAndCompletes) {
   const auto store = workload::generate_database(database_spec());
-  auto fault_options = options(fetch_fault_options());
-  if (GetParam() == core::TransportMode::kThreaded) {
-    // Extensions ride the pool, so the cancel must also drain in-flight
-    // pool tasks.
-    fault_options.runtime.search_threads = 2;
-  }
-  core::Client client(fault_options);
+  auto deployment = deploy("midfetch", fetch_fault_options());
+  core::Client& client = deployment.client();
   client.index(store);
   const auto query = probe_of(store, 3, 10, 120);
 
@@ -372,24 +386,29 @@ TEST_P(FaultRecoveryTest, HomeFailedMidFetchCancelsThenHealsAndCompletes) {
   ASSERT_NE(victim, net::kClientNode) << "query traced no ranged fetches";
 
   client.fault_injector().drop_type_to(victim, core::kFetchRange);
+  if (auto* cluster = deployment.sockets()) {
+    cluster->drop_type_to(victim, core::kFetchRange);
+  }
   const auto stalled = client.query(query);
   EXPECT_FALSE(stalled.completed);
   EXPECT_TRUE(stalled.hits.empty());
 
+  if (auto* cluster = deployment.sockets()) cluster->heal_node(victim);
   client.heal_node(victim);
-  expect_no_leaked_pending(client);
+  expect_no_leaked_pending(deployment);
 
   const auto retried = client.query(query);
   EXPECT_TRUE(retried.completed);
   expect_same_hits(healthy.hits, retried.hits);
   client.settle();
-  expect_no_leaked_pending(client);
+  expect_no_leaked_pending(deployment);
   EXPECT_EQ(client.metrics().counter("net.handler_errors"), 0u);
+  if (auto* cluster = deployment.sockets()) cluster->expect_clean();
 }
 
 INSTANTIATE_TEST_SUITE_P(Runtimes, FaultRecoveryTest,
                          ::testing::Values(core::TransportMode::kSim,
-                                           core::TransportMode::kThreaded),
+                                           core::TransportMode::kSocket),
                          mode_name);
 
 }  // namespace

@@ -27,9 +27,10 @@ static_assert(sizeof(Shape) == 2 * sizeof(std::uint32_t) +
 // gtest needs printable params for test names.
 std::string shape_name(const ::testing::TestParamInfo<Shape>& info) {
   const Shape& s = info.param;
-  return "g" + std::to_string(s.groups) + "x" + std::to_string(s.per_group) +
-         "_w" + std::to_string(s.window) + "_k" + std::to_string(s.stride) +
-         "_d" + std::to_string(s.cutoff_depth);
+  return std::string("g").append(std::to_string(s.groups)) + "x" +
+         std::to_string(s.per_group) + "_w" + std::to_string(s.window) +
+         "_k" + std::to_string(s.stride) + "_d" +
+         std::to_string(s.cutoff_depth);
 }
 
 class RecallSweepTest : public ::testing::TestWithParam<Shape> {};

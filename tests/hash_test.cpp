@@ -121,7 +121,7 @@ TEST(HashRing, OwnerIsDeterministic) {
   ring.add_member(1, "b");
   ring.add_member(2, "c");
   for (int i = 0; i < 100; ++i) {
-    const auto key = sha1_prefix64("k" + std::to_string(i));
+    const auto key = sha1_prefix64(std::string("k").append(std::to_string(i)));
     EXPECT_EQ(ring.owner(key), ring.owner(key));
   }
 }
@@ -165,7 +165,7 @@ TEST(HashRing, BalanceAcrossMembers) {
 TEST(HashRing, OwnersReturnsDistinctMembers) {
   HashRing ring(64);
   for (std::uint32_t m = 0; m < 4; ++m) {
-    ring.add_member(m, "n" + std::to_string(m));
+    ring.add_member(m, std::string("n").append(std::to_string(m)));
   }
   for (int i = 0; i < 50; ++i) {
     const auto owners = ring.owners(sha1_prefix64(std::to_string(i)), 3);
@@ -190,12 +190,14 @@ TEST(HashRing, RemovalMovesOnlyAFractionOfKeys) {
   }
   std::map<int, std::uint32_t> before;
   for (int i = 0; i < 5000; ++i) {
-    before[i] = ring.owner(sha1_prefix64("k" + std::to_string(i)));
+    before[i] =
+        ring.owner(sha1_prefix64(std::string("k").append(std::to_string(i))));
   }
   ring.remove_member(3);
   int moved = 0;
   for (int i = 0; i < 5000; ++i) {
-    const auto now = ring.owner(sha1_prefix64("k" + std::to_string(i)));
+    const auto now =
+        ring.owner(sha1_prefix64(std::string("k").append(std::to_string(i))));
     if (now != before[i]) {
       ++moved;
       // Keys only move *off* the removed member, never between survivors.

@@ -11,6 +11,7 @@
 #include "src/mendel/client.h"
 #include "src/mendel/indexer.h"
 #include "src/mendel/protocol.h"
+#include "src/net/sim_transport.h"
 #include "src/scoring/distance.h"
 #include "src/vptree/dynamic_vptree.h"
 #include "src/vptree/window_arena.h"
@@ -153,8 +154,18 @@ class RecordingTransport : public net::Transport {
     sent.push_back(std::move(message));
   }
   net::NetworkStats stats() const override { return {}; }
+  net::TransportCounters counters() const override { return {}; }
+  // The indexer injects no faults and attributes no traffic.
+  net::FaultInjector& fault_injector() override {
+    return unused_.fault_injector();
+  }
+  void begin_query_stats(std::uint64_t) override {}
+  net::NetworkStats take_query_stats(std::uint64_t) override { return {}; }
 
   std::vector<net::Message> sent;
+
+ private:
+  net::SimTransport unused_;
 };
 
 seq::SequenceStore determinism_store() {

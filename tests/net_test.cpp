@@ -1,13 +1,10 @@
 // Unit tests for src/net: the discrete-event SimTransport (virtual time,
-// parallel makespan semantics, failure injection) and the thread-backed
-// ThreadTransport (real concurrency, quiescence drain).
+// parallel makespan semantics, failure injection). The socket transport
+// has its own suite (socket_transport_test).
 #include <gtest/gtest.h>
-
-#include <atomic>
 
 #include "src/common/error.h"
 #include "src/net/sim_transport.h"
-#include "src/net/thread_transport.h"
 
 namespace mendel::net {
 namespace {
@@ -221,126 +218,6 @@ TEST(SimTransport, MeasuredCpuChargesHandlerTime) {
   EXPECT_GT(horizon, 0.0);
   EXPECT_GT(transport.total_cpu_seconds(), 0.0);
   EXPECT_NEAR(transport.node_clock(1), transport.total_cpu_seconds(), 1e-6);
-}
-
-// ---------- ThreadTransport ----------
-
-TEST(ThreadTransport, EchoAcrossThreads) {
-  ThreadTransport transport;
-  FunctionActor server([](const Message& m, Context& ctx) {
-    ctx.send(m.from, m.type + 1, m.request_id, m.payload);
-  });
-  std::atomic<int> replies{0};
-  FunctionActor client([&](const Message& m, Context&) {
-    EXPECT_EQ(m.type, 6u);
-    ++replies;
-  });
-  transport.register_actor(1, &server);
-  transport.register_actor(2, &client);
-  transport.start();
-  for (int i = 0; i < 20; ++i) transport.send(make(2, 1, 5, i));
-  transport.drain_and_stop();
-  EXPECT_EQ(replies.load(), 20);
-}
-
-TEST(ThreadTransport, CascadeDrainsCompletely) {
-  // A chain of forwards: 0 -> 1 -> 2 -> 3; drain must wait for the whole
-  // cascade, not just the first hop.
-  ThreadTransport transport;
-  std::atomic<int> terminal{0};
-  FunctionActor hop0([](const Message& m, Context& ctx) {
-    ctx.send(1, m.type, m.request_id, {});
-  });
-  FunctionActor hop1([](const Message& m, Context& ctx) {
-    ctx.send(2, m.type, m.request_id, {});
-  });
-  FunctionActor hop2([&](const Message&, Context&) { ++terminal; });
-  transport.register_actor(0, &hop0);
-  transport.register_actor(1, &hop1);
-  transport.register_actor(2, &hop2);
-  transport.start();
-  for (int i = 0; i < 50; ++i) transport.send(make(0xff, 0, 1));
-  transport.drain_and_stop();
-  EXPECT_EQ(terminal.load(), 50);
-}
-
-TEST(ThreadTransport, UnknownDestinationThrows) {
-  ThreadTransport transport;
-  EXPECT_THROW(transport.send(make(0, 4, 1)), ProtocolError);
-}
-
-TEST(ThreadTransport, RegisterAfterStartThrows) {
-  ThreadTransport transport;
-  FunctionActor actor([](const Message&, Context&) {});
-  transport.register_actor(0, &actor);
-  transport.start();
-  FunctionActor late([](const Message&, Context&) {});
-  EXPECT_THROW(transport.register_actor(1, &late), InvalidArgument);
-  transport.drain_and_stop();
-}
-
-TEST(ThreadTransport, ThrowingHandlerRecordsErrorAndStillDrains) {
-  // A handler that throws must not wedge the in-flight accounting: the
-  // worker records the error, keeps serving its mailbox, and the drain
-  // barrier still completes (a wedged counter would deadlock here).
-  ThreadTransport transport;
-  std::atomic<int> survived{0};
-  FunctionActor flaky([&](const Message& m, Context&) {
-    if (m.request_id % 2 == 0) throw std::runtime_error("boom");
-    ++survived;
-  });
-  transport.register_actor(3, &flaky);
-  transport.start();
-  for (int i = 0; i < 10; ++i) transport.send(make(0xff, 3, 1, i));
-  transport.drain_and_stop();
-
-  EXPECT_EQ(survived.load(), 5);
-  const auto errors = transport.handler_errors();
-  ASSERT_EQ(errors.size(), 5u);
-  EXPECT_NE(errors[0].find("node 3"), std::string::npos);
-  EXPECT_NE(errors[0].find("boom"), std::string::npos);
-  EXPECT_TRUE(transport.idle());
-}
-
-TEST(ThreadTransport, FailedNodeDropsMessagesUntilHealed) {
-  ThreadTransport transport;
-  std::atomic<int> received{0};
-  FunctionActor sink([&](const Message&, Context&) { ++received; });
-  transport.register_actor(1, &sink);
-  transport.start();
-
-  EXPECT_FALSE(transport.node_down(1));
-  transport.fail_node(1);
-  EXPECT_TRUE(transport.node_down(1));
-  for (int i = 0; i < 4; ++i) transport.send(make(0xff, 1, 1));
-  transport.wait_idle();
-  EXPECT_EQ(received.load(), 0);
-  EXPECT_EQ(transport.dropped_messages(), 4u);
-  // Drops still count as traffic the sender paid for.
-  EXPECT_EQ(transport.stats().messages, 4u);
-
-  transport.heal_node(1);
-  EXPECT_FALSE(transport.node_down(1));
-  transport.send(make(0xff, 1, 1));
-  transport.drain_and_stop();
-  EXPECT_EQ(received.load(), 1);
-  EXPECT_EQ(transport.dropped_messages(), 4u);
-}
-
-TEST(ThreadTransport, StatsAreThreadSafe) {
-  ThreadTransport transport;
-  FunctionActor ping([](const Message& m, Context& ctx) {
-    if (m.request_id > 0) ctx.send(1, 1, m.request_id - 1, {});
-  });
-  FunctionActor pong([](const Message& m, Context& ctx) {
-    if (m.request_id > 0) ctx.send(0, 1, m.request_id - 1, {});
-  });
-  transport.register_actor(0, &ping);
-  transport.register_actor(1, &pong);
-  transport.start();
-  transport.send(make(0xff, 0, 1, 100));  // 100-hop ping-pong
-  transport.drain_and_stop();
-  EXPECT_EQ(transport.stats().messages, 101u);
 }
 
 }  // namespace

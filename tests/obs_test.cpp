@@ -1,8 +1,9 @@
 // Observability subsystem tests: metrics registry primitives, export
 // round-trips, per-query distributed tracing (determinism under the
-// simulator, stage coverage under both transports), exact per-query
-// traffic attribution, and metrics consistency under concurrent batches
-// (the TSan CI job runs this binary).
+// simulator, stage coverage on both runtimes), exact per-query traffic
+// attribution, and metrics consistency under concurrent batches. The
+// wall-clock assertions run on an in-process socket cluster whose daemons
+// share one metrics registry (the TSan CI job runs this binary).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,6 +21,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/workload/generator.h"
+#include "tests/socket_cluster.h"
 
 namespace mendel {
 namespace {
@@ -236,18 +238,25 @@ TEST(Trace, TimelineIsByteStableUnderSim) {
   }
 }
 
+// Wall-clock tracing across real daemons, each dispatching its nodes on
+// their own threads with a search pool.
 TEST(Trace, CoversEveryStageUnderThreads) {
   const auto store = workload::generate_database(obs_spec());
-  auto options = obs_options(core::TransportMode::kThreaded);
-  options.runtime.search_threads = 2;
-  core::Client client(options);
-  client.index(store);
-  const auto trace = traced_query(client, probe_of(store, 2));
+  testutil::Deployment sockets("trace",
+                               obs_options(core::TransportMode::kSocket),
+                               /*search_threads=*/2);
+  sockets.client().index(store);
+  const auto trace = traced_query(sockets.client(), probe_of(store, 2));
   for (const char* stage : kPipelineStages) {
     EXPECT_TRUE(trace.has_span(stage)) << "missing span " << stage;
   }
   // Under wall-clock time the searcher spans carry measured durations.
   EXPECT_EQ(trace.to_json().find("\"spans\": []"), std::string::npos);
+  bool measured = false;
+  for (const auto& span : trace.spans) {
+    measured |= span.name == "node.search" && span.duration_ns > 0;
+  }
+  EXPECT_TRUE(measured);
 }
 
 TEST(Trace, CollectedSpansAreRemovedFromNodeBuffers) {
@@ -276,29 +285,37 @@ TEST(Trace, DisabledTracingRecordsNothing) {
 
 // ---------- exact per-query traffic ----------
 
+// Over sockets each process counts only its own sends, so the client's
+// bucket holds the query's request; it must still be exactly the solo
+// run's while other queries' messages cross the same transport.
 TEST(Traffic, PerQueryAttributionIsExactUnderConcurrency) {
   const auto store = workload::generate_database(obs_spec());
   const auto query = probe_of(store, 2);
+  for (const auto mode :
+       {core::TransportMode::kSim, core::TransportMode::kSocket}) {
+    SCOPED_TRACE(mode == core::TransportMode::kSim ? "sim" : "socket");
+    // Baseline: the query alone.
+    testutil::Deployment solo("solo", obs_options(mode));
+    solo.client().index(store);
+    const auto solo_outcome = solo.client().query(query);
+    ASSERT_GT(solo_outcome.traffic.messages, 0u);
 
-  // Baseline: the query alone.
-  core::Client solo(obs_options(core::TransportMode::kSim));
-  solo.index(store);
-  const auto solo_outcome = solo.query(query);
-  ASSERT_GT(solo_outcome.traffic.messages, 0u);
-
-  // Same query admitted first in a concurrent batch: its attributed traffic
-  // must be identical — overlapping queries' messages no longer bleed in.
-  core::Client busy(obs_options(core::TransportMode::kSim));
-  busy.index(store);
-  const auto outcomes = busy.query_batch(
-      {query, probe_of(store, 5), probe_of(store, 9)});
-  EXPECT_EQ(outcomes[0].traffic.messages, solo_outcome.traffic.messages);
-  EXPECT_EQ(outcomes[0].traffic.bytes, solo_outcome.traffic.bytes);
-  // Each concurrent query got a non-empty, per-query count.
-  for (const auto& outcome : outcomes) {
-    EXPECT_TRUE(outcome.completed);
-    EXPECT_GT(outcome.traffic.messages, 0u);
-    EXPECT_LT(outcome.traffic.messages, busy.metrics().counter("net.messages"));
+    // Same query admitted first in a concurrent batch: its attributed
+    // traffic must be identical — overlapping queries' messages no longer
+    // bleed in.
+    testutil::Deployment busy("busy", obs_options(mode));
+    busy.client().index(store);
+    const auto outcomes = busy.client().query_batch(
+        {query, probe_of(store, 5), probe_of(store, 9)});
+    EXPECT_EQ(outcomes[0].traffic.messages, solo_outcome.traffic.messages);
+    EXPECT_EQ(outcomes[0].traffic.bytes, solo_outcome.traffic.bytes);
+    // Each concurrent query got a non-empty, per-query count.
+    for (const auto& outcome : outcomes) {
+      EXPECT_TRUE(outcome.completed);
+      EXPECT_GT(outcome.traffic.messages, 0u);
+      EXPECT_LT(outcome.traffic.messages,
+                busy.client().metrics().counter("net.messages"));
+    }
   }
 }
 
@@ -318,47 +335,61 @@ core::NodeCounters summed_node_counters(const core::Client& client) {
   return total;
 }
 
-// Dashboards and the schema lint see one name set whatever the runtime:
-// every net.* counter is exported (zero where a runtime cannot incur it),
-// and both exports pass tools/check_metrics_schema.
+std::set<std::string> metric_names(const obs::MetricsSnapshot& snap) {
+  std::set<std::string> names;
+  for (const auto& c : snap.counters) names.insert("counter " + c.name);
+  for (const auto& g : snap.gauges) names.insert("gauge " + g.name);
+  for (const auto& h : snap.histograms) names.insert("histogram " + h.name);
+  return names;
+}
+
+// Dashboards and the schema lint see one name set whatever the runtime.
+// The simulator's client export carries every name (every net.* counter
+// included, zero where the runtime cannot incur it) and passes
+// tools/check_metrics_schema. Over sockets the names split between the
+// client's export and the daemons' shared registry; together they cover
+// the same set, bar the cluster.* placement gauges that only a client
+// hosting the nodes can compute.
 TEST(Metrics, SameNameSetOnEveryRuntimeAndSchemaClean) {
   const auto store = workload::generate_database(obs_spec());
-  std::vector<std::set<std::string>> name_sets;
-  for (const auto mode :
-       {core::TransportMode::kSim, core::TransportMode::kThreaded}) {
-    const std::string tag =
-        mode == core::TransportMode::kSim ? "sim" : "threaded";
-    core::Client client(obs_options(mode));
-    client.index(store);
-    EXPECT_TRUE(client.query(probe_of(store, 2)).completed) << tag;
-    client.settle();
-    const auto snap = client.metrics();
+  const auto query = probe_of(store, 2);
 
-    std::set<std::string> names;
-    for (const auto& c : snap.counters) names.insert("counter " + c.name);
-    for (const auto& g : snap.gauges) names.insert("gauge " + g.name);
-    for (const auto& h : snap.histograms) names.insert("histogram " + h.name);
-    name_sets.push_back(std::move(names));
-
-    const std::string path = testing::TempDir() + "mendel_metrics_" +
-                             std::to_string(::getpid()) + "_" + tag + ".json";
-    {
-      std::ofstream out(path);
-      out << snap.to_json();
-    }
-    const std::string command = std::string(MENDEL_SCHEMA_CHECK_BIN) + " " +
-                                path + " " + MENDEL_METRICS_SCHEMA;
-    EXPECT_EQ(std::system(command.c_str()), 0) << tag << ": " << command;
-    std::remove(path.c_str());
+  core::Client sim(obs_options(core::TransportMode::kSim));
+  sim.index(store);
+  EXPECT_TRUE(sim.query(query).completed);
+  const auto snap = sim.metrics();
+  const std::string path = testing::TempDir() + "mendel_metrics_" +
+                           std::to_string(::getpid()) + "_sim.json";
+  {
+    std::ofstream out(path);
+    out << snap.to_json();
   }
-  EXPECT_EQ(name_sets[0], name_sets[1]);
+  const std::string command = std::string(MENDEL_SCHEMA_CHECK_BIN) + " " +
+                              path + " " + MENDEL_METRICS_SCHEMA;
+  EXPECT_EQ(std::system(command.c_str()), 0) << command;
+  std::remove(path.c_str());
+
+  obs::MetricsRegistry daemon_metrics;
+  testutil::Deployment sockets("names",
+                               obs_options(core::TransportMode::kSocket),
+                               /*search_threads=*/0, &daemon_metrics);
+  sockets.client().index(store);
+  EXPECT_TRUE(sockets.client().query(query).completed);
+  sockets.client().settle();
+  auto socket_names = metric_names(sockets.client().metrics());
+  for (const auto& name : metric_names(daemon_metrics.snapshot())) {
+    socket_names.insert(name);
+  }
+  std::set<std::string> expected;
+  for (const auto& name : metric_names(snap)) {
+    if (!name.starts_with("gauge cluster.")) expected.insert(name);
+  }
+  EXPECT_EQ(socket_names, expected);
 }
 
 TEST(Metrics, ConsistentUnderConcurrentBatch) {
   const auto store = workload::generate_database(obs_spec());
-  auto options = obs_options(core::TransportMode::kThreaded);
-  options.runtime.search_threads = 2;
-  core::Client client(options);
+  core::Client client(obs_options(core::TransportMode::kSim));
   client.index(store);
 
   std::vector<seq::Sequence> queries;
@@ -367,8 +398,6 @@ TEST(Metrics, ConsistentUnderConcurrentBatch) {
   }
   const auto outcomes = client.query_batch(queries);
   for (const auto& outcome : outcomes) EXPECT_TRUE(outcome.completed);
-  // wait() returns as the reply lands; the last handlers may still run.
-  client.settle();
 
   const auto snap = client.metrics();
   EXPECT_EQ(snap.counter("client.queries_submitted"), queries.size());
@@ -399,14 +428,12 @@ TEST(Metrics, ConsistentUnderConcurrentBatch) {
 }
 
 // DNA nodes answer n-NN by window-index lookups; the export counts those
-// searches, summed over the nodes, including ones run on the search pool.
+// searches, summed over the nodes.
 TEST(Metrics, HammingBallSearchesExportedOnDna) {
   workload::DatabaseSpec spec = obs_spec();
   spec.alphabet = seq::Alphabet::kDna;
   const auto store = workload::generate_database(spec);
-  auto options = obs_options(core::TransportMode::kThreaded);
-  options.runtime.search_threads = 2;
-  core::Client client(options);
+  core::Client client(obs_options(core::TransportMode::kSim));
   client.index(store);
   core::QueryParams params;
   params.matrix = "DNA";
@@ -417,7 +444,6 @@ TEST(Metrics, HammingBallSearchesExportedOnDna) {
   for (std::size_t donor : {1u, 4u, 7u}) {
     EXPECT_TRUE(client.query(probe_of(store, donor), params).completed);
   }
-  client.settle();
 
   const auto snap = client.metrics();
   const auto totals = summed_node_counters(client);
@@ -446,11 +472,6 @@ TEST(Metrics, ExtensionPipelineCountersAndHistograms) {
   for (const auto& s : workload::generate_database(long_spec)) store.add(s);
   for (const auto& s : workload::generate_database(short_spec)) store.add(s);
 
-  auto options = obs_options(core::TransportMode::kThreaded);
-  options.runtime.search_threads = 2;
-  core::Client client(options);
-  client.index(store);
-
   const auto window = store.at(1).window(5, 345);
   const seq::Sequence probe(store.alphabet(), "probe",
                             std::vector<seq::Code>{window.begin(),
@@ -460,6 +481,9 @@ TEST(Metrics, ExtensionPipelineCountersAndHistograms) {
   core::QueryParams params;
   params.gapped_trigger = 0.1;
   params.max_hits = 1;
+
+  core::Client client(obs_options(core::TransportMode::kSim));
+  client.index(store);
   const auto outcome = client.query(probe, params);
   EXPECT_TRUE(outcome.completed);
   EXPECT_FALSE(outcome.hits.empty());
@@ -472,14 +496,26 @@ TEST(Metrics, ExtensionPipelineCountersAndHistograms) {
   EXPECT_EQ(snap.counter("node.fetch_ranges_coalesced"),
             totals.fetch_ranges_coalesced);
   EXPECT_EQ(snap.counter("node.anchors_pruned"), totals.anchors_pruned);
-  // Extension-phase histograms record wall time under the threaded
-  // transport (virtual time runs extensions inline, unmeasured).
+
+  // Extension-phase histograms record wall time, so they are read from the
+  // shared registry of socket daemons with search pools (virtual time runs
+  // extensions inline, unmeasured).
+  obs::MetricsRegistry daemon_metrics;
+  testutil::Deployment sockets("extend",
+                               obs_options(core::TransportMode::kSocket),
+                               /*search_threads=*/2, &daemon_metrics);
+  sockets.client().index(store);
+  EXPECT_TRUE(sockets.client().query(probe, params).completed);
+  sockets.client().settle();
+  const auto daemon = daemon_metrics.snapshot();
+  EXPECT_GT(daemon.counter("fetch.ranges_coalesced"), 0u);
+  EXPECT_GT(daemon.counter("extend.anchors_pruned"), 0u);
   const obs::HistogramValue* group_extend =
-      snap.histogram("group.extend_seconds");
+      daemon.histogram("group.extend_seconds");
   ASSERT_NE(group_extend, nullptr);
   EXPECT_GT(group_extend->count, 0u);
   const obs::HistogramValue* coord_extend =
-      snap.histogram("coord.extend_seconds");
+      daemon.histogram("coord.extend_seconds");
   ASSERT_NE(coord_extend, nullptr);
   EXPECT_GT(coord_extend->count, 0u);
 }

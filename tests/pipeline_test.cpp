@@ -1,17 +1,12 @@
 // System-level tests of the full Mendel pipeline beyond the basic
 // integration suite: persistence, fault tolerance with replication,
-// symmetric entry points, DNA mode, and the ThreadTransport twin runtime.
+// symmetric entry points, and DNA mode. The real-concurrency runtime is
+// covered by the socket-cluster parity suite (transport_parity_test).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
-#include <future>
 
 #include "src/mendel/client.h"
-#include "src/mendel/indexer.h"
-#include "src/mendel/protocol.h"
-#include "src/mendel/storage_node.h"
-#include "src/net/thread_transport.h"
 #include "src/workload/generator.h"
 
 namespace mendel {
@@ -407,80 +402,6 @@ TEST(Pipeline, QueryBeforeIndexRejected) {
   const auto q =
       seq::Sequence::from_string(seq::Alphabet::kProtein, "q", "MKVLAWHH");
   EXPECT_THROW(client.query(q), InvalidArgument);
-}
-
-// ---------- ThreadTransport twin runtime ----------
-
-// Runs the identical StorageNode code under real threads: index a store,
-// issue one query, and check the answer matches the donor. This pins the
-// protocol's freedom from single-threaded-scheduler assumptions.
-TEST(Pipeline, ThreadTransportEndToEnd) {
-  workload::DatabaseSpec spec = database_spec();
-  spec.families = 3;
-  spec.background_sequences = 5;
-  const auto store = workload::generate_database(spec);
-
-  cluster::TopologyConfig topo_config;
-  topo_config.num_groups = 3;
-  topo_config.nodes_per_group = 2;
-  cluster::Topology topology(topo_config);
-  const auto distance = score::default_distance(store.alphabet());
-
-  core::IndexingOptions indexing;
-  indexing.window_length = 8;
-  indexing.sample_size = 256;
-  core::Indexer indexer(&topology, &distance, indexing);
-  const auto prefix_tree =
-      indexer.build_prefix_tree(store, {.cutoff_depth = 4});
-  topology.bind_prefixes(prefix_tree.leaf_prefixes());
-
-  core::StorageNodeConfig node_config;
-  node_config.topology = &topology;
-  node_config.prefix_tree = &prefix_tree;
-  node_config.distance = &distance;
-  node_config.alphabet = store.alphabet();
-  node_config.database_residues = store.total_residues();
-
-  net::ThreadTransport transport;
-  std::vector<std::unique_ptr<core::StorageNode>> nodes;
-  for (net::NodeId id = 0; id < topology.total_nodes(); ++id) {
-    nodes.push_back(std::make_unique<core::StorageNode>(id, node_config));
-    transport.register_actor(id, nodes.back().get());
-  }
-  std::promise<core::QueryResultPayload> result_promise;
-  std::atomic<bool> fulfilled{false};
-  net::FunctionActor client([&](const net::Message& m, net::Context&) {
-    if (m.type == core::kQueryResult && !fulfilled.exchange(true)) {
-      result_promise.set_value(
-          core::decode_payload<core::QueryResultPayload>(m.payload));
-    }
-  });
-  transport.register_actor(net::kClientNode, &client);
-  transport.start();
-
-  // Index, then query. Mailboxes are FIFO, so every node sees its inserts
-  // before any search for them arrives (searches are only generated after
-  // the query request, which is sent after all inserts).
-  indexer.index_store(store, prefix_tree, transport, net::kClientNode);
-
-  const auto query = probe_of(store, 1, 0, 120);
-  core::QueryRequestPayload request;
-  request.query.assign(query.codes().begin(), query.codes().end());
-  net::Message message;
-  message.from = net::kClientNode;
-  message.to = 0;
-  message.type = core::kQueryRequest;
-  message.request_id = 1;
-  message.payload = core::encode_payload(request);
-  transport.send(std::move(message));
-
-  auto future = result_promise.get_future();
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(60)),
-            std::future_status::ready)
-      << "query did not complete under ThreadTransport";
-  const auto result = future.get();
-  EXPECT_TRUE(hits_contain(result.hits, 1));
-  transport.drain_and_stop();
 }
 
 }  // namespace

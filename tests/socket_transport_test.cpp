@@ -1,6 +1,6 @@
 // Socket transport: frame layer, live Unix-domain/TCP loopback wiring,
-// reconnect/heartbeat machinery, and the FaultInjector contract shared by
-// all three transports.
+// handler-error isolation, reconnect/heartbeat machinery, and the
+// FaultInjector contract shared by both transports.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -19,7 +19,6 @@
 #include "src/net/frame.h"
 #include "src/net/sim_transport.h"
 #include "src/net/socket_transport.h"
-#include "src/net/thread_transport.h"
 
 namespace mendel {
 namespace {
@@ -233,6 +232,50 @@ TEST(SocketTransport, UnixDomainEchoRoundtrip) {
   run_echo_roundtrip(uds_endpoint("echo", 0));
 }
 
+// A throwing handler must not take its dispatch thread down: the error is
+// recorded, the transport keeps serving the same actor, and the local
+// in-flight accounting still drains (a wedged count would hang the wait).
+TEST(SocketTransport, ThrowingHandlerRecordsErrorAndStillDrains) {
+  net::SocketTransport transport(
+      socket_options({uds_endpoint("throw", 0), uds_endpoint("throw", 1)}));
+  net::FunctionActor sender([](const net::Message&, net::Context&) {});
+  std::atomic<int> survived{0};
+  net::FunctionActor flaky([&](const net::Message& m, net::Context&) {
+    if (m.request_id % 2 == 0) throw std::runtime_error("boom");
+    ++survived;
+  });
+  transport.register_actor(0, &sender);  // else id 0 would be dialed
+  transport.register_actor(1, &flaky);
+  transport.start();
+  for (int i = 0; i < 10; ++i) {
+    net::Message m;
+    m.from = 0;
+    m.to = 1;
+    m.type = 1;
+    m.request_id = static_cast<std::uint64_t>(i);
+    transport.send(std::move(m));
+  }
+  transport.wait_local_idle();
+
+  EXPECT_EQ(survived.load(), 5);
+  const auto errors = transport.handler_errors();
+  ASSERT_EQ(errors.size(), 5u);
+  EXPECT_NE(errors[0].find("node 1"), std::string::npos);
+  EXPECT_NE(errors[0].find("boom"), std::string::npos);
+  EXPECT_EQ(transport.counters().handler_errors, 5u);
+
+  // Still serving after the errors.
+  net::Message again;
+  again.from = 0;
+  again.to = 1;
+  again.type = 1;
+  again.request_id = 11;
+  transport.send(std::move(again));
+  transport.wait_local_idle();
+  EXPECT_EQ(survived.load(), 6);
+  transport.stop();
+}
+
 TEST(SocketTransport, TcpEchoRoundtrip) {
   // No ephemeral-port support (the static endpoint table needs concrete
   // ports), so probe a pid-derived range for a free one.
@@ -254,8 +297,8 @@ TEST(SocketTransport, TcpEchoRoundtrip) {
 
 // The chaos surface is written once against net::FaultInjector; this
 // harness pins the shared semantics on every transport. `pump` drives the
-// transport toward quiescence (sim: drain; threaded: wait_idle; socket:
-// nothing — delivery is awaited by polling).
+// transport toward quiescence (sim: drain; socket: wait for the local
+// mailboxes; delivery is awaited by polling either way).
 struct FaultHarness {
   net::Transport* transport = nullptr;
   net::FaultInjector* fault = nullptr;
@@ -333,24 +376,10 @@ TEST(FaultInjector, ContractHoldsOnSimTransport) {
   transport.register_actor(1, &recorder);
   FaultHarness h;
   h.transport = &transport;
-  h.fault = transport.fault_injector();
+  h.fault = &transport.fault_injector();
   h.pump = [&] { transport.run_until_idle(); };
   h.received_types = [&] { return recorder.types(); };
   exercise_fault_contract(h);
-}
-
-TEST(FaultInjector, ContractHoldsOnThreadTransport) {
-  net::ThreadTransport transport;
-  TypeRecorder recorder;
-  transport.register_actor(1, &recorder);
-  transport.start();
-  FaultHarness h;
-  h.transport = &transport;
-  h.fault = transport.fault_injector();
-  h.pump = [&] { transport.wait_idle(); };
-  h.received_types = [&] { return recorder.types(); };
-  exercise_fault_contract(h);
-  transport.drain_and_stop();
 }
 
 TEST(FaultInjector, ContractHoldsOnSocketTransport) {
@@ -365,7 +394,7 @@ TEST(FaultInjector, ContractHoldsOnSocketTransport) {
   transport.start();
   FaultHarness h;
   h.transport = &transport;
-  h.fault = transport.fault_injector();
+  h.fault = &transport.fault_injector();
   h.pump = [&] { transport.wait_local_idle(); };
   h.received_types = [&] { return recorder.types(); };
   exercise_fault_contract(h);

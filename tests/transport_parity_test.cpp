@@ -1,28 +1,27 @@
 // Transport parity: the query pipeline must produce identical results on
-// the deterministic discrete-event simulator and on real threads. This is
-// the strongest form of the "no hidden ordering assumptions" guarantee —
-// every cross-node reduction must be commutative/totally ordered, or the
-// two runtimes would disagree.
+// the deterministic discrete-event simulator and on a real socket cluster,
+// whose daemons run every node on its own dispatch thread. This is the
+// strongest form of the "no hidden ordering assumptions" guarantee — every
+// cross-node reduction must be commutative/totally ordered, or the two
+// runtimes would disagree.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <future>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 
 #include "src/hash/sha1.h"
 #include "src/mendel/client.h"
-#include "src/mendel/indexer.h"
-#include "src/mendel/node_host.h"
-#include "src/mendel/protocol.h"
 #include "src/mendel/storage_node.h"
-#include "src/net/socket_transport.h"
-#include "src/net/thread_transport.h"
 #include "src/workload/generator.h"
+#include "tests/socket_cluster.h"
 
 namespace mendel {
 namespace {
+
+using testutil::Deployment;
+using testutil::SocketCluster;
 
 workload::DatabaseSpec spec() {
   workload::DatabaseSpec s;
@@ -33,101 +32,6 @@ workload::DatabaseSpec spec() {
   s.max_length = 350;
   s.seed = 77;
   return s;
-}
-
-// Runs one query over ThreadTransport with hand-wired nodes; returns the
-// decoded result payload.
-core::QueryResultPayload run_threaded(const seq::SequenceStore& store,
-                                      const seq::Sequence& query,
-                                      const core::QueryParams& params) {
-  cluster::TopologyConfig topo_config;
-  topo_config.num_groups = 3;
-  topo_config.nodes_per_group = 2;
-  cluster::Topology topology(topo_config);
-  const auto& distance = score::default_distance(store.alphabet());
-
-  core::IndexingOptions indexing;
-  indexing.window_length = 8;
-  indexing.sample_size = 256;
-  core::Indexer indexer(&topology, &distance, indexing);
-  const auto tree = indexer.build_prefix_tree(store, {.cutoff_depth = 4});
-  topology.bind_prefixes(tree.leaf_prefixes());
-
-  core::StorageNodeConfig config;
-  config.topology = &topology;
-  config.prefix_tree = &tree;
-  config.distance = &distance;
-  config.alphabet = store.alphabet();
-  config.database_residues = store.total_residues();
-
-  net::ThreadTransport transport;
-  std::vector<std::unique_ptr<core::StorageNode>> nodes;
-  for (net::NodeId id = 0; id < topology.total_nodes(); ++id) {
-    nodes.push_back(std::make_unique<core::StorageNode>(id, config));
-    transport.register_actor(id, nodes.back().get());
-  }
-  std::promise<core::QueryResultPayload> promise;
-  std::atomic<bool> fulfilled{false};
-  net::FunctionActor client([&](const net::Message& m, net::Context&) {
-    if (m.type == core::kQueryResult && !fulfilled.exchange(true)) {
-      promise.set_value(
-          core::decode_payload<core::QueryResultPayload>(m.payload));
-    }
-  });
-  transport.register_actor(net::kClientNode, &client);
-  transport.start();
-  indexer.index_store(store, tree, transport, net::kClientNode);
-
-  core::QueryRequestPayload request;
-  request.params = params;
-  request.query.assign(query.codes().begin(), query.codes().end());
-  net::Message message;
-  message.from = net::kClientNode;
-  message.to = 0;
-  message.type = core::kQueryRequest;
-  message.request_id = 1;
-  message.payload = core::encode_payload(request);
-  transport.send(std::move(message));
-
-  auto future = promise.get_future();
-  EXPECT_EQ(future.wait_for(std::chrono::seconds(60)),
-            std::future_status::ready);
-  auto result = future.get();
-  transport.drain_and_stop();
-  return result;
-}
-
-TEST(TransportParity, SimAndThreadedProduceIdenticalHits) {
-  const auto store = workload::generate_database(spec());
-  const auto& donor = store.at(2);
-  const auto region = donor.window(10, 120);
-  const seq::Sequence query(store.alphabet(), "probe",
-                            {region.begin(), region.end()});
-  core::QueryParams params;  // defaults
-
-  // Simulator side: same topology/options via the Client facade. Indexing
-  // options must match the threaded wiring above.
-  core::ClientOptions options;
-  options.topology.num_groups = 3;
-  options.topology.nodes_per_group = 2;
-  options.indexing.window_length = 8;
-  options.indexing.sample_size = 256;
-  options.prefix_tree.cutoff_depth = 4;
-  options.cost.measured_cpu = false;
-  core::Client client(options);
-  client.index(store);
-  const auto sim = client.query(query, params);
-
-  const auto threaded = run_threaded(store, query, params);
-
-  ASSERT_EQ(sim.hits.size(), threaded.hits.size());
-  for (std::size_t i = 0; i < sim.hits.size(); ++i) {
-    EXPECT_EQ(sim.hits[i].subject_id, threaded.hits[i].subject_id);
-    EXPECT_EQ(sim.hits[i].alignment.hsp.score,
-              threaded.hits[i].alignment.hsp.score);
-    EXPECT_EQ(sim.hits[i].alignment.cigar, threaded.hits[i].alignment.cigar);
-    EXPECT_DOUBLE_EQ(sim.hits[i].evalue, threaded.hits[i].evalue);
-  }
 }
 
 core::ClientOptions parity_options(core::TransportMode mode) {
@@ -164,10 +68,10 @@ void expect_same_hits(const core::QueryOutcome& a, const core::QueryOutcome& b) 
 }
 
 TEST(TransportParity, ConcurrentBatchMatchesSimBatch) {
-  // The full concurrent pipeline: a threaded-mode Client admits a whole
-  // batch (queries genuinely overlap across node threads, with intra-node
-  // fan-out and the NN cache active) and must produce exactly the ranked
-  // hit sets the deterministic simulator produces.
+  // The full concurrent pipeline: a socket-mode Client admits a whole
+  // batch (queries genuinely overlap across the daemons' node threads,
+  // with intra-node fan-out and the NN cache active) and must produce
+  // exactly the ranked hit sets the deterministic simulator produces.
   const auto store = workload::generate_database(spec());
   const auto queries = parity_queries(store);
 
@@ -175,19 +79,19 @@ TEST(TransportParity, ConcurrentBatchMatchesSimBatch) {
   sim_client.index(store);
   const auto sim_outcomes = sim_client.query_batch(queries);
 
-  auto threaded_options = parity_options(core::TransportMode::kThreaded);
-  threaded_options.runtime.search_threads = 2;
-  core::Client threaded_client(threaded_options);
-  threaded_client.index(store);
-  const auto threaded_outcomes = threaded_client.query_batch(queries);
+  Deployment sockets("batch", parity_options(core::TransportMode::kSocket),
+                     /*search_threads=*/2);
+  sockets.client().index(store);
+  const auto socket_outcomes = sockets.client().query_batch(queries);
 
-  ASSERT_EQ(sim_outcomes.size(), threaded_outcomes.size());
+  ASSERT_EQ(sim_outcomes.size(), socket_outcomes.size());
   for (std::size_t i = 0; i < sim_outcomes.size(); ++i) {
     EXPECT_TRUE(sim_outcomes[i].completed);
-    EXPECT_TRUE(threaded_outcomes[i].completed);
-    expect_same_hits(sim_outcomes[i], threaded_outcomes[i]);
+    EXPECT_TRUE(socket_outcomes[i].completed);
+    expect_same_hits(sim_outcomes[i], socket_outcomes[i]);
   }
-  EXPECT_EQ(threaded_client.metrics().counter("net.handler_errors"), 0u);
+  EXPECT_EQ(sockets.client().metrics().counter("net.handler_errors"), 0u);
+  sockets.sockets()->expect_clean();
 }
 
 TEST(TransportParity, ManyThreadsDrivingSubmitWaitAgreeWithSim) {
@@ -204,30 +108,30 @@ TEST(TransportParity, ManyThreadsDrivingSubmitWaitAgreeWithSim) {
     sim_outcomes.push_back(sim_client.query(query));
   }
 
-  core::Client threaded_client(
-      parity_options(core::TransportMode::kThreaded));
-  threaded_client.index(store);
-  std::vector<core::QueryOutcome> threaded_outcomes(queries.size());
+  Deployment sockets("drivers", parity_options(core::TransportMode::kSocket));
+  core::Client& socket_client = sockets.client();
+  socket_client.index(store);
+  std::vector<core::QueryOutcome> socket_outcomes(queries.size());
   {
     std::vector<std::thread> drivers;
     for (std::size_t i = 0; i < queries.size(); ++i) {
       drivers.emplace_back([&, i] {
-        threaded_outcomes[i] = threaded_client.query(queries[i]);
+        socket_outcomes[i] = socket_client.query(queries[i]);
       });
     }
     for (auto& driver : drivers) driver.join();
   }
 
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_TRUE(threaded_outcomes[i].completed);
-    expect_same_hits(sim_outcomes[i], threaded_outcomes[i]);
+    EXPECT_TRUE(socket_outcomes[i].completed);
+    expect_same_hits(sim_outcomes[i], socket_outcomes[i]);
   }
 }
 
 // DNA's 4-letter alphabet makes exact window-distance ties pervasive, so
 // the n-NN boundary used to be resolved by vp-tree traversal order — which
 // depends on insertion order and therefore on transport message timing
-// (ROADMAP item 7: sim "7 9 6 7" vs threaded "6 9 6 6" hit counts). The
+// (ROADMAP item 7: sim "7 9 6 7" vs real threads "6 9 6 6" hit counts). The
 // metric's tie_before total order resolves equidistant candidates by block
 // identity on every tree shape; this pin holds the cross-transport
 // guarantee for DNA params, which the protein-only suite above misses.
@@ -246,63 +150,21 @@ TEST(TransportParity, DnaBatchMatchesAcrossTransports) {
   sim_client.index(store);
   const auto sim_outcomes = sim_client.query_batch(queries, params);
 
-  auto threaded_options = parity_options(core::TransportMode::kThreaded);
-  threaded_options.runtime.search_threads = 2;
-  core::Client threaded_client(threaded_options);
-  threaded_client.index(store);
-  const auto threaded_outcomes = threaded_client.query_batch(queries, params);
+  Deployment sockets("dnabatch", parity_options(core::TransportMode::kSocket),
+                     /*search_threads=*/2);
+  sockets.client().index(store);
+  const auto socket_outcomes = sockets.client().query_batch(queries, params);
 
-  ASSERT_EQ(sim_outcomes.size(), threaded_outcomes.size());
+  ASSERT_EQ(sim_outcomes.size(), socket_outcomes.size());
   for (std::size_t i = 0; i < sim_outcomes.size(); ++i) {
     EXPECT_TRUE(sim_outcomes[i].completed);
-    EXPECT_TRUE(threaded_outcomes[i].completed);
+    EXPECT_TRUE(socket_outcomes[i].completed);
     ASSERT_FALSE(sim_outcomes[i].hits.empty()) << "query " << i;
-    expect_same_hits(sim_outcomes[i], threaded_outcomes[i]);
+    expect_same_hits(sim_outcomes[i], socket_outcomes[i]);
   }
-  EXPECT_EQ(threaded_client.metrics().counter("net.handler_errors"), 0u);
+  EXPECT_EQ(sockets.client().metrics().counter("net.handler_errors"), 0u);
+  sockets.sockets()->expect_clean();
 }
-
-// In-process socket cluster: "daemon" transports hosting the storage
-// nodes over Unix-domain sockets, wired exactly as mendel-node processes
-// would be (separate SocketTransport + NodeHost per daemon, the client
-// reaching them only through real sockets and the kNodeInit protocol).
-struct SocketCluster {
-  std::vector<std::string> endpoints;
-  std::vector<std::unique_ptr<core::NodeHost>> hosts;
-  std::vector<std::unique_ptr<net::SocketTransport>> transports;
-
-  SocketCluster(const std::string& tag, std::size_t total_nodes,
-                std::size_t daemons) {
-    for (std::size_t id = 0; id < total_nodes; ++id) {
-      endpoints.push_back("unix:" + testing::TempDir() + "mendel_parity_" +
-                          std::to_string(::getpid()) + "_" + tag + "_" +
-                          std::to_string(id) + ".sock");
-    }
-    for (std::size_t daemon = 0; daemon < daemons; ++daemon) {
-      net::SocketOptions options;
-      options.endpoints = endpoints;
-      transports.push_back(
-          std::make_unique<net::SocketTransport>(options));
-      core::NodeHostOptions host_options;
-      for (std::size_t id = daemon; id < total_nodes; id += daemons) {
-        host_options.node_ids.push_back(static_cast<net::NodeId>(id));
-      }
-      hosts.push_back(std::make_unique<core::NodeHost>(
-          transports.back().get(), std::move(host_options)));
-    }
-    // Daemons start concurrently (like real processes): each start()
-    // blocks until its dials land, and the peers only listen once their
-    // own start() runs.
-    std::vector<std::thread> starters;
-    for (auto& transport : transports) {
-      starters.emplace_back([&transport] { transport->start(); });
-    }
-    for (auto& starter : starters) starter.join();
-  }
-  ~SocketCluster() {
-    for (auto& transport : transports) transport->stop();
-  }
-};
 
 void run_socket_parity(seq::Alphabet alphabet, const std::string& tag) {
   auto dbspec = spec();
@@ -321,10 +183,9 @@ void run_socket_parity(seq::Alphabet alphabet, const std::string& tag) {
   sim_client.index(store);
   const auto sim_outcomes = sim_client.query_batch(queries, params);
 
-  SocketCluster cluster(tag, 6, 3);
-  auto options = parity_options(core::TransportMode::kSocket);
-  options.runtime.socket.endpoints = cluster.endpoints;
-  core::Client socket_client(options);
+  SocketCluster cluster(tag);
+  core::Client socket_client(
+      cluster.client_options(parity_options(core::TransportMode::kSocket)));
   socket_client.index(store);
   const auto socket_outcomes = socket_client.query_batch(queries, params);
 
@@ -336,10 +197,7 @@ void run_socket_parity(seq::Alphabet alphabet, const std::string& tag) {
     expect_same_hits(sim_outcomes[i], socket_outcomes[i]);
   }
   EXPECT_EQ(socket_client.metrics().counter("net.handler_errors"), 0u);
-  for (const auto& transport : cluster.transports) {
-    EXPECT_EQ(transport->handler_errors().size(), 0u);
-    EXPECT_EQ(transport->decode_errors(), 0u);
-  }
+  cluster.expect_clean();
 }
 
 // The tentpole guarantee: real sockets are just another transport — the
@@ -382,18 +240,16 @@ TEST(TransportParity, HealResendsResiduesMissedWhileDown) {
         << "sim node " << id;
   }
 
-  SocketCluster cluster("heal", 6, 3);
-  auto options = parity_options(core::TransportMode::kSocket);
-  options.runtime.socket.endpoints = cluster.endpoints;
-  core::Client socket_client(options);
+  SocketCluster cluster("heal");
+  core::Client socket_client(
+      cluster.client_options(parity_options(core::TransportMode::kSocket)));
   fail_add_heal(socket_client);
   // Joining the daemons' dispatch threads orders their last handler
   // before the reads below.
-  for (auto& transport : cluster.transports) transport->stop();
+  cluster.stop();
   for (net::NodeId id = 0; id < 6; ++id) {
-    const core::StorageNode* node = cluster.hosts[id % 3]->node(id);
-    ASSERT_NE(node, nullptr) << "socket node " << id;
-    EXPECT_EQ(node->database_residues(), expected) << "socket node " << id;
+    EXPECT_EQ(cluster.node(id).database_residues(), expected)
+        << "socket node " << id;
   }
 }
 
@@ -417,25 +273,19 @@ std::string runtime_name(
     const ::testing::TestParamInfo<core::TransportMode>& info) {
   switch (info.param) {
     case core::TransportMode::kSim: return "Sim";
-    case core::TransportMode::kThreaded: return "Threaded";
     case core::TransportMode::kSocket: return "Socket";
   }
   return "Unknown";
 }
 
 TEST_P(OverlappingFailureTest, HealedNodesLearnMembershipChangedWhileDown) {
-  const core::TransportMode mode = GetParam();
-  const bool in_process = mode != core::TransportMode::kSocket;
+  const bool in_process = GetParam() == core::TransportMode::kSim;
   const auto store = workload::generate_database(spec());
-  auto options = parity_options(mode);
+  auto options = parity_options(GetParam());
   options.topology.replication = 2;
   options.topology.sequence_replication = 2;
-  std::unique_ptr<SocketCluster> cluster;
-  if (!in_process) {
-    cluster = std::make_unique<SocketCluster>("overlap", 6, 3);
-    options.runtime.socket.endpoints = cluster->endpoints;
-  }
-  core::Client client(options);
+  Deployment deployment("overlap", options);
+  core::Client& client = deployment.client();
   client.index(store);
   const std::uint32_t total = client.topology().total_nodes();
   const net::NodeId a = client.topology().group_nodes(0).front();
@@ -447,18 +297,15 @@ TEST_P(OverlappingFailureTest, HealedNodesLearnMembershipChangedWhileDown) {
 
   // Every alive node's view must match the fault injector. In-process
   // nodes are read after settle(); daemons only once stopped.
-  const auto expect_views_current = [&](auto node_of) {
+  const auto expect_views_current = [&] {
     for (net::NodeId id = 0; id < total; ++id) {
       if (client.fault_injector().node_down(id)) continue;
       for (net::NodeId peer = 0; peer < total; ++peer) {
-        EXPECT_EQ(node_of(id).is_down(peer),
+        EXPECT_EQ(deployment.node(id).is_down(peer),
                   client.fault_injector().node_down(peer))
             << "node " << id << "'s view of node " << peer;
       }
     }
-  };
-  const auto client_node = [&](net::NodeId id) -> const core::StorageNode& {
-    return client.node(id);
   };
   // Submits queries until one has entered at `entry`. Those entering at an
   // alive node must complete with the healthy hits; one entering at a down
@@ -482,7 +329,7 @@ TEST_P(OverlappingFailureTest, HealedNodesLearnMembershipChangedWhileDown) {
   client.fail_node(a);
   client.heal_node(b);
   if (in_process) {
-    expect_views_current(client_node);
+    expect_views_current();
     expect_served_through(b);
   }
   client.heal_node(a);
@@ -490,24 +337,20 @@ TEST_P(OverlappingFailureTest, HealedNodesLearnMembershipChangedWhileDown) {
   expect_served_through(b);
   if (in_process) {
     client.settle();
-    expect_views_current(client_node);
   } else {
-    for (auto& transport : cluster->transports) transport->stop();
-    expect_views_current([&](net::NodeId id) -> const core::StorageNode& {
-      return *cluster->hosts[id % cluster->hosts.size()]->node(id);
-    });
+    deployment.sockets()->stop();
   }
+  expect_views_current();
 }
 
 INSTANTIATE_TEST_SUITE_P(Runtimes, OverlappingFailureTest,
                          ::testing::Values(core::TransportMode::kSim,
-                                           core::TransportMode::kThreaded,
                                            core::TransportMode::kSocket),
                          runtime_name);
 
 // Arena residency is a memory policy, not a results policy: a clamped
 // resident budget (packed rows spilled through the block store) must
-// reproduce the all-resident ranked hits exactly, on both transports and
+// reproduce the all-resident ranked hits exactly, on both runtimes and
 // for both the packed (DNA) and unpacked (protein) row formats.
 TEST(TransportParity, SpillForcedBudgetMatchesAllResident) {
   for (const auto alphabet : {seq::Alphabet::kDna, seq::Alphabet::kProtein}) {
@@ -524,20 +367,21 @@ TEST(TransportParity, SpillForcedBudgetMatchesAllResident) {
     }
 
     for (const auto mode :
-         {core::TransportMode::kSim, core::TransportMode::kThreaded}) {
-      auto resident_options = parity_options(mode);
-      if (mode == core::TransportMode::kThreaded) {
-        resident_options.runtime.search_threads = 2;
-      }
-      core::Client resident_client(resident_options);
-      resident_client.index(store);
-      const auto resident = resident_client.query_batch(queries, params);
+         {core::TransportMode::kSim, core::TransportMode::kSocket}) {
+      const auto resident_options = parity_options(mode);
+      Deployment resident_deployment("resident", resident_options,
+                                     /*search_threads=*/2);
+      resident_deployment.client().index(store);
+      const auto resident =
+          resident_deployment.client().query_batch(queries, params);
 
       auto spill_options = resident_options;
       spill_options.runtime.arena_resident_budget = 1;  // clamps to floor
-      core::Client spill_client(spill_options);
-      spill_client.index(store);
-      const auto spilled = spill_client.query_batch(queries, params);
+      Deployment spill_deployment("spill", spill_options,
+                                  /*search_threads=*/2);
+      spill_deployment.client().index(store);
+      const auto spilled =
+          spill_deployment.client().query_batch(queries, params);
 
       ASSERT_EQ(resident.size(), spilled.size());
       for (std::size_t i = 0; i < resident.size(); ++i) {
@@ -546,6 +390,66 @@ TEST(TransportParity, SpillForcedBudgetMatchesAllResident) {
       }
     }
   }
+}
+
+// The budget reaches the daemons' arenas: with 4 KiB segments and the
+// minimum budget, a shard of a few thousand protein windows outgrows the
+// resident floor, so the block store evicts and faults rows back in while
+// the ranked hits stay the simulator's. MENDEL_ARENA_BUDGET replaces the
+// budget here as it does in Client; the spill job's 4 MiB then holds these
+// shards whole, so only the block-store backing (faults) is asserted.
+TEST(TransportParity, BudgetedSocketClusterEvictsAndMatchesSim) {
+  auto dbspec = spec();
+  dbspec.families = 10;
+  dbspec.members_per_family = 4;
+  dbspec.background_sequences = 40;
+  dbspec.min_length = 300;
+  dbspec.max_length = 400;
+  const auto store = workload::generate_database(dbspec);
+  const auto queries = parity_queries(store);
+
+  core::Client sim_client(parity_options(core::TransportMode::kSim));
+  sim_client.index(store);
+  const auto sim_outcomes = sim_client.query_batch(queries);
+
+  auto options = parity_options(core::TransportMode::kSocket);
+  options.runtime.arena_resident_budget = 1;  // clamps to the floor
+  options.runtime.arena_segment_bytes = 4096;
+  Deployment sockets("evict", options, /*search_threads=*/2);
+  sockets.client().index(store);
+  const auto socket_outcomes = sockets.client().query_batch(queries);
+  ASSERT_EQ(sim_outcomes.size(), socket_outcomes.size());
+  for (std::size_t i = 0; i < sim_outcomes.size(); ++i) {
+    EXPECT_TRUE(socket_outcomes[i].completed);
+    ASSERT_FALSE(sim_outcomes[i].hits.empty()) << "query " << i;
+    expect_same_hits(sim_outcomes[i], socket_outcomes[i]);
+  }
+
+  sockets.client().settle();
+  vpt::BlockStoreStats store_stats;
+  for (net::NodeId id = 0; id < 6; ++id) {
+    const auto stats = sockets.node(id).arena_stats().store;
+    store_stats.evictions += stats.evictions;
+    store_stats.faults += stats.faults;
+  }
+  EXPECT_GT(store_stats.faults, 0u);
+  if (std::getenv("MENDEL_ARENA_BUDGET") == nullptr) {
+    EXPECT_GT(store_stats.evictions, 0u);
+  }
+  sockets.sockets()->expect_clean();
+}
+
+// The cluster-wide pruning counters, read once every node went quiet.
+core::NodeCounters settled_counters(Deployment& deployment) {
+  deployment.client().settle();
+  core::NodeCounters total;
+  for (net::NodeId id = 0; id < deployment.client().topology().total_nodes();
+       ++id) {
+    const core::NodeCounters& counters = deployment.node(id).counters();
+    total.anchors_pruned += counters.anchors_pruned;
+    total.gapped_extensions += counters.gapped_extensions;
+  }
+  return total;
 }
 
 // Score-bounded pruning is a work policy, not a results policy: skipping
@@ -592,26 +496,26 @@ TEST(TransportParity, PruningMatchesUnprunedExactly) {
     }
 
     for (const auto mode :
-         {core::TransportMode::kSim, core::TransportMode::kThreaded}) {
-      auto options = parity_options(mode);
-      if (mode == core::TransportMode::kThreaded) {
-        options.runtime.search_threads = 2;
-      }
-      core::Client pruned_client(options);
-      pruned_client.index(store);
-      const auto pruned = pruned_client.query_batch(queries, params);
-      EXPECT_GT(pruned_client.metrics().counter("node.anchors_pruned"), 0u);
+         {core::TransportMode::kSim, core::TransportMode::kSocket}) {
+      const auto options = parity_options(mode);
+      Deployment pruned_deployment("pruned", options, /*search_threads=*/2);
+      pruned_deployment.client().index(store);
+      const auto pruned =
+          pruned_deployment.client().query_batch(queries, params);
+      const auto pruned_counters = settled_counters(pruned_deployment);
+      EXPECT_GT(pruned_counters.anchors_pruned, 0u);
 
       auto unpruned_options = options;
       unpruned_options.runtime.prune_extensions = false;
-      core::Client unpruned_client(unpruned_options);
-      unpruned_client.index(store);
-      const auto unpruned = unpruned_client.query_batch(queries, params);
-      EXPECT_EQ(unpruned_client.metrics().counter("node.anchors_pruned"), 0u);
-      const auto unpruned_gapped =
-          unpruned_client.metrics().counter("node.gapped_extensions");
-      const auto pruned_gapped =
-          pruned_client.metrics().counter("node.gapped_extensions");
+      Deployment unpruned_deployment("unpruned", unpruned_options,
+                                     /*search_threads=*/2);
+      unpruned_deployment.client().index(store);
+      const auto unpruned =
+          unpruned_deployment.client().query_batch(queries, params);
+      const auto unpruned_counters = settled_counters(unpruned_deployment);
+      EXPECT_EQ(unpruned_counters.anchors_pruned, 0u);
+      const auto unpruned_gapped = unpruned_counters.gapped_extensions;
+      const auto pruned_gapped = pruned_counters.gapped_extensions;
 #ifdef MENDEL_CHECKED
       // The checked build's prune audit deliberately extends pruned bins
       // too (to compare against the full ranking), so the work saving is
@@ -715,20 +619,26 @@ TEST(TransportParity, ScheduleSeedIsDeterministicAndEffective) {
   EXPECT_TRUE(any_differs);
 }
 
+// Two independent socket clusters, each dispatching its nodes on their own
+// threads with a search pool, answer the same query identically.
 TEST(TransportParity, RepeatedThreadedRunsAgree) {
   const auto store = workload::generate_database(spec());
   const auto& donor = store.at(5);
   const auto region = donor.window(0, 100);
   const seq::Sequence query(store.alphabet(), "probe",
                             {region.begin(), region.end()});
-  const auto first = run_threaded(store, query, {});
-  const auto second = run_threaded(store, query, {});
-  ASSERT_EQ(first.hits.size(), second.hits.size());
-  for (std::size_t i = 0; i < first.hits.size(); ++i) {
-    EXPECT_EQ(first.hits[i].subject_id, second.hits[i].subject_id);
-    EXPECT_EQ(first.hits[i].alignment.hsp.score,
-              second.hits[i].alignment.hsp.score);
-  }
+  const auto run = [&](const std::string& tag) {
+    Deployment sockets(tag, parity_options(core::TransportMode::kSocket),
+                       /*search_threads=*/2);
+    sockets.client().index(store);
+    return sockets.client().query(query);
+  };
+  const auto first = run("first");
+  const auto second = run("second");
+  EXPECT_TRUE(first.completed);
+  EXPECT_TRUE(second.completed);
+  ASSERT_FALSE(first.hits.empty());
+  expect_same_hits(first, second);
 }
 
 }  // namespace
